@@ -38,6 +38,7 @@ from .oracle import (
     all_terminal_words,
     enumerate_insertions,
     exact_distribution,
+    reduce_by_moves,
     tally_terminals,
 )
 from .render import BilliardGeometry, billiard_geometry, render_svg

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 on invalid input, 3 when a resource guard
 trips.  Resource guards can be overridden with environment variables
-(see _GUARD_ENV below; invalid values are rejected).
+(see _GUARD_ENV below; non-integer or negative values exit 2).
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ _GUARD_ENV = {
     "enum_max_n": "BILLIARDKNOTS_MAX_ENUM_N",  # exact enumeration length
     "ins_max_len": "BILLIARDKNOTS_MAX_WORD_LEN",  # insertion base length
     "ins_max_m": "BILLIARDKNOTS_MAX_INSERTIONS",  # insertion count
-    "term_max_len": "BILLIARDKNOTS_MAX_TERMINAL_LEN",  # confluence audit length
 }
 _GUARD_DEFAULTS = {
     "enum_max_n": 22,
     "ins_max_len": 8,
     "ins_max_m": 4,
-    "term_max_len": 13,
 }
 
 # exact pmf is cheap enough below this length to compute alongside a sample
@@ -42,6 +40,8 @@ def _guards() -> dict[str, int]:
                 values[key] = int(raw)
             except ValueError:
                 raise ValueError(f"{env} must be an integer, got {raw!r}") from None
+            if values[key] < 0:
+                raise ValueError(f"{env} must be nonnegative, got {raw!r}")
     return values
 
 
@@ -66,14 +66,14 @@ def _emit(args, payload: dict, text: str, rows: Optional[list] = None,
         print(text)
 
 
-def _cmd_reduce(args) -> None:
+def _cmd_reduce(args, guards) -> None:
     terminal = words.reduce(args.word)
     payload = {"word": args.word, "reduced": terminal,
                "crossing_number": words.crossing_number(args.word)}
     _emit(args, payload, terminal)
 
 
-def _cmd_moves(args) -> None:
+def _cmd_moves(args, guards) -> None:
     moves = words.available_moves(args.word)
     payload = {
         "word": args.word,
@@ -88,7 +88,7 @@ def _cmd_moves(args) -> None:
           rows, ("kind", "position", "triple"))
 
 
-def _cmd_class(args) -> None:
+def _cmd_class(args, guards) -> None:
     cls = words.knot_class(args.word, _mode(args))
     text = (
         f"canonical {cls.canonical or '(empty)'}  ell0={cls.ell0} ell1={cls.ell1} "
@@ -98,7 +98,7 @@ def _cmd_class(args) -> None:
     _emit(args, cls.to_json(), text)
 
 
-def _cmd_prob(args) -> None:
+def _cmd_prob(args, guards) -> None:
     cls = words.knot_class(args.word, _mode(args))
     p = distributions.knot_probability(cls, args.n)
     payload = {"word": args.word, "n": args.n, "canonical": cls.canonical,
@@ -106,7 +106,7 @@ def _cmd_prob(args) -> None:
     _emit(args, payload, f"{p} = {float(p):.6g}")
 
 
-def _cmd_pmf(args) -> None:
+def _cmd_pmf(args, guards) -> None:
     pmf = distributions.crossing_pmf(args.n)
     lines = [f"c=0 (unknot): {pmf.unknot_mass} = {float(pmf.unknot_mass):.6g}"]
     for c in sorted(pmf.masses):
@@ -116,7 +116,7 @@ def _cmd_pmf(args) -> None:
           ("c", "numerator", "denominator", "float"))
 
 
-def _cmd_rate(args) -> None:
+def _cmd_rate(args, guards) -> None:
     cls = words.knot_class(args.word, _mode(args))
     report = distributions.alpha_rate(cls, args.n)
     payload = {"word": args.word, "n": report.n, "log2_rate": report.log2_rate,
@@ -155,7 +155,7 @@ def _cmd_insertions(args, guards) -> None:
     _emit(args, payload, text, [(u,) for u in ordered], ("word",))
 
 
-def _cmd_trace(args) -> None:
+def _cmd_trace(args, guards) -> None:
     locs = tuple(int(x) for x in args.locations.split(",") if x.strip() != "")
     trace = insertions.reconstruct(args.word, args.m, locs)
     width = max(len(s.stack) for s in trace.steps) if trace.steps else 1
@@ -170,7 +170,7 @@ def _cmd_trace(args) -> None:
     _emit(args, trace.to_json(), "\n".join(lines))
 
 
-def _cmd_sample(args) -> None:
+def _cmd_sample(args, guards) -> None:
     exact = None
     if args.n <= _SAMPLE_EXACT_LIMIT:
         exact = distributions.crossing_pmf(args.n)
@@ -186,7 +186,7 @@ def _cmd_sample(args) -> None:
     _emit(args, report.to_json(), "\n".join(lines), rows, ("c", "count", "frequency"))
 
 
-def _cmd_render(args) -> None:
+def _cmd_render(args, guards) -> None:
     svg = render.render_svg(args.word, flip_crossings=args.flip_crossings)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -194,7 +194,7 @@ def _cmd_render(args) -> None:
           f"wrote {args.out} ({len(svg)} bytes)")
 
 
-def _cmd_selfcheck(args) -> int:
+def _cmd_selfcheck(args, guards) -> int:
     results = selfcheck.run_selfcheck(deep=args.deep)
     failures = 0
     for name, ok, detail in results:
@@ -218,37 +218,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", parents=[common], help="fully reduce a word")
     p.add_argument("word")
+    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("moves", parents=[common], help="list legal reduction moves")
     p.add_argument("word")
+    p.set_defaults(func=_cmd_moves)
 
     p = sub.add_parser("class", parents=[common, chiral],
                        help="knot class of a word")
     p.add_argument("word")
+    p.set_defaults(func=_cmd_class)
 
     p = sub.add_parser("prob", parents=[common, chiral],
                        help="exact probability of the word's knot at length n")
     p.add_argument("word")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=_cmd_prob)
 
     p = sub.add_parser("pmf", parents=[common],
                        help="exact crossing-number distribution at length n")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=_cmd_pmf)
 
     p = sub.add_parser("rate", parents=[common, chiral],
                        help="per-crossing log-probability against the limit rate")
     p.add_argument("--word", required=True)
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("enumerate", parents=[common, chiral],
                        help="exhaustive knot counts over all words of length n")
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("insertions", parents=[common],
                        help="enumerate all words reachable by m insertions")
     p.add_argument("word")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--internal-only", action="store_true")
+    p.set_defaults(func=_cmd_insertions)
 
     p = sub.add_parser("trace", parents=[common],
                        help="run the reconstruction stack on a location set")
@@ -256,6 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--locations", default="",
                    help="comma-separated locations, empty for none")
+    p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("sample", parents=[common],
                        help="Monte Carlo crossing-number histogram")
@@ -263,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("render", parents=[common],
                        help="draw the billiard-table diagram as SVG")
@@ -270,10 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--flip-crossings", action="store_true",
                    help="invert the letter-to-crossing convention")
+    p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("selfcheck", parents=[common],
                        help="run built-in consistency checks")
     p.add_argument("--deep", action="store_true")
+    p.set_defaults(func=_cmd_selfcheck)
 
     return parser
 
@@ -281,31 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        guards = _guards()
-        if args.command == "reduce":
-            _cmd_reduce(args)
-        elif args.command == "moves":
-            _cmd_moves(args)
-        elif args.command == "class":
-            _cmd_class(args)
-        elif args.command == "prob":
-            _cmd_prob(args)
-        elif args.command == "pmf":
-            _cmd_pmf(args)
-        elif args.command == "rate":
-            _cmd_rate(args)
-        elif args.command == "enumerate":
-            _cmd_enumerate(args, guards)
-        elif args.command == "insertions":
-            _cmd_insertions(args, guards)
-        elif args.command == "trace":
-            _cmd_trace(args)
-        elif args.command == "sample":
-            _cmd_sample(args)
-        elif args.command == "render":
-            _cmd_render(args)
-        elif args.command == "selfcheck":
-            return _cmd_selfcheck(args)
+        return args.func(args, _guards()) or 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -315,7 +303,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except oracle.ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -124,8 +124,6 @@ def crossing_pmf(n: int) -> CrossingPmf:
     gives the mass.  The masses plus the unknot mass sum to exactly 1.
     """
     check_length(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
     masses = {}
     for c in range(3, n + 1):
         acc = 0
@@ -181,9 +179,12 @@ def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
     """Locate the pmf mode and the exact mass outside the beta +- delta band.
 
     The unknot (crossing number 0) counts toward the tail.  Ties on the
-    mode go to the smallest crossing number.
+    mode go to the smallest crossing number.  Lengths below 3 carry no
+    crossing mass and have no mode; they are rejected.
     """
     pmf = crossing_pmf(n)
+    if not pmf.masses:
+        raise ValueError(f"n={n} has no crossing mass, so the pmf has no mode")
     mode = None
     best = Fraction(-1)
     tail = Fraction(0)

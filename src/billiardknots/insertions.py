@@ -194,18 +194,19 @@ class ExternalDecomposition:
         return self.prefix_count + self.suffix_count
 
 
-def _affix_splits(w: Word, w_double: Word) -> Iterator[tuple]:
-    """Yield (p, i, s, j) with w_double == p*i + w + s*j, in search order."""
-    diff = len(w_double) - len(w)
-    if diff < 0 or diff % 3:
-        return
-    e = diff // 3
+def _stagings(
+    w: Word, e: int, internal_count: int
+) -> Iterator[tuple[ExternalDecomposition, Word]]:
+    """Yield (decomposition, prefix^i . w . suffix^j) for every i + j == e.
+
+    Search order: prefix count ascending, affixes in lexicographic order.
+    """
     for i in range(e + 1):
         j = e - i
         for p in PREFIX_TRIPLES if i else (None,):
             for s in SUFFIX_TRIPLES if j else (None,):
-                if w_double == (p or "") * i + w + (s or "") * j:
-                    yield p, i, s, j
+                staged = (p or "") * i + w + (s or "") * j
+                yield ExternalDecomposition(p, i, s, j, internal_count), staged
 
 
 def decompose_external(w: Word, w_double: Word) -> Optional[ExternalDecomposition]:
@@ -220,8 +221,12 @@ def decompose_external(w: Word, w_double: Word) -> Optional[ExternalDecompositio
     check_word(w_double)
     if w != "" and is_reduced(w) != REDUCED:
         raise ValueError(f"base word must be reduced or empty, got {w!r}")
-    for p, i, s, j in _affix_splits(w, w_double):
-        return ExternalDecomposition(p, i, s, j, 0)
+    diff = len(w_double) - len(w)
+    if diff < 0 or diff % 3:
+        return None
+    for decomposition, staged in _stagings(w, diff // 3, 0):
+        if staged == w_double:
+            return decomposition
     return None
 
 
@@ -243,16 +248,10 @@ def witnesses(
         )
     found = []
     for e in range(m + 1):
-        for i in range(e + 1):
-            j = e - i
-            for p in PREFIX_TRIPLES if i else (None,):
-                for s in SUFFIX_TRIPLES if j else (None,):
-                    staged = (p or "") * i + w + (s or "") * j
-                    loc = location_map(staged, w_prime)
-                    if loc is not None:
-                        found.append(
-                            (ExternalDecomposition(p, i, s, j, m - e), loc)
-                        )
+        for decomposition, staged in _stagings(w, e, m - e):
+            loc = location_map(staged, w_prime)
+            if loc is not None:
+                found.append((decomposition, loc))
     return found
 
 

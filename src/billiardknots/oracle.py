@@ -18,7 +18,7 @@ from .words import (
     available_moves,
     check_word,
     knot_class,
-    reduce_runs,
+    reduce,
 )
 
 INTERNAL_ONLY = "internal-only"
@@ -55,30 +55,20 @@ class ExactDist:
         }
 
 
-def _terminal(word: Word) -> Word:
-    """reduce() by way of run lengths; skips validation for the hot loop."""
-    if not word:
-        return ""
-    lengths = []
-    current = 1
-    for prev, ch in zip(word, word[1:]):
-        if ch == prev:
-            current += 1
-        else:
-            lengths.append(current)
-            current = 1
-    lengths.append(current)
-    first, reduced = reduce_runs(int(word[0]), lengths)
-    return _rebuild(first, reduced)
+def reduce_by_moves(w: Word) -> Word:
+    """Reference reduction: delete one triple at a time until no move is left.
 
-
-def _rebuild(first_bit: int, lengths: tuple[int, ...]) -> Word:
-    bit = first_bit
-    parts = []
-    for n in lengths:
-        parts.append(("1" if bit else "0") * n)
-        bit ^= 1
-    return "".join(parts)
+    Each step applies the leftmost internal move if one exists, then the
+    prefix move, then the suffix move.  Quadratic in len(w); words.reduce
+    and words.reduce_runs must reach the same terminal.
+    """
+    check_word(w)
+    while True:
+        moves = available_moves(w)
+        if not moves:
+            return w
+        i = moves[0].position - 1
+        w = w[:i] + w[i + 3 :]
 
 
 def tally_terminals(n: int, start: int, stop: int) -> Counter:
@@ -91,7 +81,7 @@ def tally_terminals(n: int, start: int, stop: int) -> Counter:
     counts: Counter[Word] = Counter()
     for value in range(start, stop):
         word = format(value, f"0{n}b") if n else ""
-        counts[_terminal(word)] += 1
+        counts[reduce(word)] += 1
     return counts
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import CrossingPmf, check_length
-from .words import reduce_runs
+from .words import reduce_runs, terminal_crossing_number
 
 _BATCH = 4096
 _MASK64 = (1 << 64) - 1
@@ -59,9 +59,7 @@ def _crossing_of_row(row: np.ndarray) -> int:
     boundaries = np.flatnonzero(row[1:] != row[:-1])
     lengths = np.diff(np.concatenate(([-1], boundaries, [len(row) - 1])))
     _, reduced = reduce_runs(int(row[0]), lengths.tolist())
-    if sum(reduced) <= 2 and len(reduced) <= 1:
-        return 0
-    return len(reduced)
+    return terminal_crossing_number(reduced)
 
 
 def sample_pmf(

@@ -42,7 +42,7 @@ _COMPLEMENT_TABLE = str.maketrans("01", "10")
 
 def check_word(w: Word) -> Word:
     """Validate that w is a string over {'0','1'}; return it unchanged."""
-    if not isinstance(w, str) or any(ch not in "01" for ch in w):
+    if not isinstance(w, str) or w.strip("01"):
         raise ValueError(f"not a binary word: {w!r}")
     return w
 
@@ -60,19 +60,11 @@ class RunDecomposition:
 
     def word(self) -> Word:
         """Rebuild the word the decomposition came from."""
-        bit = self.first_bit
-        parts = []
-        for n in self.run_lengths:
-            parts.append(("1" if bit else "0") * n)
-            bit ^= 1
-        return "".join(parts)
+        return _spell(self.first_bit, self.run_lengths)
 
 
-def runs(w: Word) -> RunDecomposition:
-    """Decompose w into maximal runs. The empty word has no runs (first_bit 0)."""
-    check_word(w)
-    if not w:
-        return RunDecomposition(0, ())
+def _run_lengths(w: Word) -> list[int]:
+    """Maximal run lengths of a nonempty word that is already validated."""
     lengths = []
     current = 1
     for prev, ch in zip(w, w[1:]):
@@ -82,7 +74,24 @@ def runs(w: Word) -> RunDecomposition:
             lengths.append(current)
             current = 1
     lengths.append(current)
-    return RunDecomposition(int(w[0]), tuple(lengths))
+    return lengths
+
+
+def _spell(first_bit: int, run_lengths: tuple[int, ...]) -> Word:
+    """The word with these run lengths whose first letter is first_bit."""
+    bit = first_bit
+    parts = []
+    for n in run_lengths:
+        parts.append(("1" if bit else "0") * n)
+        bit ^= 1
+    return "".join(parts)
+
+
+def runs(w: Word) -> RunDecomposition:
+    """Decompose w into maximal runs. The empty word has no runs (first_bit 0)."""
+    if not check_word(w):
+        return RunDecomposition(0, ())
+    return RunDecomposition(int(w[0]), tuple(_run_lengths(w)))
 
 
 def is_reduced(w: Word) -> str:
@@ -139,19 +148,17 @@ def apply_move(w: Word, mv: ReductionMove) -> Word:
 
 
 def reduce(w: Word) -> Word:
-    """Fully reduce w with a fixed deterministic strategy.
+    """Fully reduce w, in time linear in len(w).
 
-    At each step the leftmost internal move is applied if one exists, then
-    the prefix move, then the suffix move.  The terminal word has no moves
-    left and its length is congruent to len(w) mod 3.
+    Runs reduce_runs on the runs of w and spells the result.  The terminal
+    equals oracle.reduce_by_moves(w), the reference that applies the
+    leftmost internal move if one exists, then the prefix move, then the
+    suffix move.  It has no moves left and its length is congruent to
+    len(w) mod 3.
     """
-    check_word(w)
-    while True:
-        moves = available_moves(w)
-        if not moves:
-            return w
-        i = moves[0].position - 1
-        w = w[:i] + w[i + 3 :]
+    if not check_word(w):
+        return w
+    return _spell(*reduce_runs(int(w[0]), _run_lengths(w)))
 
 
 def reduce_runs(
@@ -160,9 +167,9 @@ def reduce_runs(
     """Reduce a word given as run lengths, in time linear in the run count.
 
     Returns the run decomposition of the terminal word.  Produces exactly
-    the same terminal as reduce(); internal deletions are order-independent
-    as words, and the external stages are applied with the same priority
-    (prefix before suffix).  The run form keeps large-scale reduction cheap.
+    the same terminal as the move-by-move reference oracle.reduce_by_moves;
+    internal deletions are order-independent as words, and the external
+    stages are applied with the same priority (prefix before suffix).
     """
     # internal moves: one left-to-right pass with a run stack
     stack: list[list[int]] = []  # [bit, length], alternating bits
@@ -287,7 +294,7 @@ def symmetry_orbit(w: Word, mode: str = MIRROR_IDENTIFIED) -> frozenset[Word]:
     """
     _check_mode(mode)
     t = reduce(w)
-    if t in UNKNOT_FORMS:
+    if terminal_crossing_number(runs(t).run_lengths) == 0:
         return frozenset(("", "0", "1"))
     if len(t) % 3 == 2:
         raise ValueError(
@@ -337,9 +344,16 @@ def knot_class(w: Word, mode: str = MIRROR_IDENTIFIED) -> KnotClass:
     )
 
 
+def terminal_crossing_number(run_lengths: tuple[int, ...]) -> int:
+    """Crossing number read off the run lengths of a terminal word.
+
+    A terminal of at most one run is an unknot leftover (one of
+    UNKNOT_FORMS) and has crossing number 0; any other terminal has one
+    crossing per run.
+    """
+    return len(run_lengths) if len(run_lengths) > 1 else 0
+
+
 def crossing_number(w: Word) -> int:
     """Crossing number of the knot: run count of the terminal word, 0 for unknots."""
-    t = reduce(w)
-    if t in UNKNOT_FORMS:
-        return 0
-    return runs(t).count
+    return terminal_crossing_number(runs(reduce(w)).run_lengths)

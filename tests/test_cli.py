@@ -57,6 +57,18 @@ def test_pmf_command_formats(capsys):
     assert lines[1].startswith("0,36,64")
 
 
+def test_length_zero_is_the_unknot(capsys):
+    code, out, _ = run(capsys, "pmf", "--n", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 0, "unknot": "1/1", "pmf": {}}
+    code, out, _ = run(
+        capsys, "sample", "--n", "0", "--count", "10", "--seed", "1", "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["empirical"] == {"0": 1.0} and data["tv_distance_to_exact"] == 0.0
+
+
 def test_rate_command(capsys):
     code, out, _ = run(capsys, "rate", "--word", "101", "--n", "99", "--format", "json")
     assert code == 0
@@ -77,9 +89,11 @@ def test_enumerate_guard_env(capsys, monkeypatch):
     code, _, err = run(capsys, "enumerate", "--n", "4")
     assert code == 3
     assert "guard" in err
-    monkeypatch.setenv("BILLIARDKNOTS_MAX_ENUM_N", "not-a-number")
-    code, _, err = run(capsys, "enumerate", "--n", "3")
-    assert code == 2
+    for bad in ("not-a-number", "-5"):
+        monkeypatch.setenv("BILLIARDKNOTS_MAX_ENUM_N", bad)
+        code, _, err = run(capsys, "enumerate", "--n", "3")
+        assert code == 2, bad
+        assert "BILLIARDKNOTS_MAX_ENUM_N" in err
 
 
 def test_insertions_command(capsys):

@@ -122,9 +122,10 @@ def test_crossing_pmf_support():
     pmf = crossing_pmf(13)
     assert set(pmf.masses) == set(range(3, 14))
     assert all(p.numerator > 0 for p in pmf.masses.values())
-    pmf1 = crossing_pmf(1)
-    assert pmf1.masses == {}
-    assert pmf1.unknot_mass.fraction == 1
+    for n in (0, 1):
+        pmf = crossing_pmf(n)
+        assert pmf.masses == {}
+        assert pmf.unknot_mass.fraction == 1
 
 
 def test_crossing_pmf_json_shape():
@@ -184,6 +185,12 @@ def test_beta_summary_small():
     assert summary.mode_ratio == pytest.approx(0.5)
     # every outcome is far from beta at n=6, unknot included
     assert summary.tail_mass == 1
+
+
+def test_beta_summary_rejects_lengths_without_crossing_mass():
+    for n in (0, 1):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            beta_summary(n)
 
 
 def test_beta_summary_tail_shrinks_with_delta():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from billiardknots.oracle import reduce_by_moves
 from billiardknots.words import (
     CHIRAL,
     EXTERNAL_PREFIX,
@@ -146,7 +147,7 @@ def test_apply_move_rejects_illegal():
     ],
 )
 def test_reduce_examples(w, terminal):
-    assert reduce(w) == terminal
+    assert reduce(w) == reduce_by_moves(w) == terminal
 
 
 @given(binary_words)
@@ -161,7 +162,7 @@ def test_reduce_properties(w):
 def test_reduce_runs_agrees_with_reduce(w):
     r = runs(w)
     fast = RunDecomposition(*reduce_runs(r.first_bit, r.run_lengths)).word()
-    assert fast == reduce(w)
+    assert fast == reduce(w) == reduce_by_moves(w)
 
 
 def test_reduce_runs_agrees_exhaustively():
@@ -169,7 +170,7 @@ def test_reduce_runs_agrees_exhaustively():
         for w in all_words(n):
             r = runs(w)
             fast = RunDecomposition(*reduce_runs(r.first_bit, r.run_lengths)).word()
-            assert fast == reduce(w), w
+            assert fast == reduce(w) == reduce_by_moves(w), w
 
 
 # ---------------------------------------------------------------- symmetries
