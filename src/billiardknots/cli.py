@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on invalid input, 3 when a resource guard
-trips.  Resource guards can be overridden with environment variables
-(see _GUARD_ENV below; non-integer or negative values exit 2).
+Exit codes: 0 on success, 1 when a selfcheck check fails, 2 on invalid
+input, 3 when a resource guard trips.  Resource guards can be overridden
+with environment variables (see _GUARD_ENV below; non-integer or negative
+values exit 2).
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
+from .distributions import check_length
 from .words import (
     MIRROR_IDENTIFIED,
     KnotClass,
@@ -55,6 +57,12 @@ class ExactDist:
         }
 
 
+def all_words(n: int) -> Iterator[Word]:
+    """Every word of length n, in the numbering of tally_terminals."""
+    for value in range(1 << n):
+        yield format(value, f"0{n}b") if n else ""
+
+
 def reduce_by_moves(w: Word) -> Word:
     """Reference reduction: delete one triple at a time until no move is left.
 
@@ -95,10 +103,7 @@ def exact_distribution(
     fixed ranges via tally_terminals and merged; only the (small) set of
     distinct terminal words is ever held at once.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n % 3 == 2:
-        raise ValueError(f"invalid length {n}: need n = 0 or 1 mod 3")
+    check_length(n)
     if n > max_n:
         raise ResourceGuardError(f"n={n} exceeds the enumeration guard {max_n}")
 

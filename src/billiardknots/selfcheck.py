@@ -1,44 +1,46 @@
 """Built-in consistency checks wiring the formulas against the brute force.
 
-Each check returns (name, ok, detail).  The quick set runs in a few
-seconds; --deep repeats the expensive audits at the sizes used by the
-package's acceptance tests.
+Each check returns (name, ok, detail); on failure the detail names the
+input that failed.  These functions are the only implementation of each
+audit: the package's tests call them at their own sizes and assert on the
+result.  The quick set runs in a few seconds; --deep repeats the expensive
+audits at larger sizes.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from typing import Callable, Iterator
+from itertools import combinations
+from typing import Callable
 
 from . import counting, distributions, insertions, oracle, words
 
 Check = tuple[str, bool, str]
 
 
-def _all_words(n: int) -> Iterator[str]:
-    for value in range(1 << n):
-        yield format(value, f"0{n}b") if n else ""
-
-
 def check_reduce_engines(max_n: int) -> Check:
     """The move-by-move reference and the run-length engine agree on every word."""
     for n in range(max_n + 1):
-        for w in _all_words(n):
+        for w in oracle.all_words(n):
             slow = oracle.reduce_by_moves(w)
             fast = words.reduce(w)
             if slow != fast:
-                return ("reduce-engines", False, f"{w}: {slow} != {fast}")
+                return ("reduce-engines", False, f"{w!r}: {slow!r} != {fast!r}")
     return ("reduce-engines", True, f"all words up to length {max_n}")
 
 
 def check_confluence(max_n: int) -> Check:
-    """Every move order reaches one terminal (or only unknot leftovers)."""
+    """Every move order reaches one terminal (or only unknot leftovers),
+    and words.reduce reaches one of them."""
     for n in range(max_n + 1):
-        for w in _all_words(n):
+        for w in oracle.all_words(n):
             terminals = oracle.all_terminal_words(w)
             if len(terminals) > 1:
                 if not all(t in words.UNKNOT_FORMS for t in terminals):
-                    return ("confluence", False, f"{w} -> {sorted(terminals)}")
+                    return ("confluence", False, f"{w!r} -> {sorted(terminals)}")
+            if words.reduce(w) not in terminals:
+                return ("confluence", False, f"{w!r}: reduce misses {sorted(terminals)}")
     return ("confluence", True, f"all words up to length {max_n}")
 
 
@@ -58,9 +60,28 @@ def check_counting(limit: int) -> Check:
     return ("counting-identities", True, f"n up to {limit}")
 
 
-def check_insertion_counts(max_m: int) -> Check:
+def check_count_full_summation(limit: int) -> Check:
+    """The closed full count equals its pre-simplification form: the internal
+    count plus 4e staged external variants for each e external insertions."""
+    for m in range(limit + 1):
+        for ell in range(limit + 1):
+            n = 3 * m + ell
+            total = counting.count_internal(ell, m)
+            for e in range(1, m + 1):
+                total += 4 * e * (
+                    counting.binomial(n, m - e) - counting.binomial_lt(n, m - e)
+                )
+            got = counting.count_full(m, ell)
+            if got != total:
+                return ("count-full-summation", False, f"F({m},{ell}): {got} != {total}")
+    return ("count-full-summation", True, f"m, ell up to {limit}")
+
+
+def check_insertion_counts(
+    max_m: int, bases: tuple[str, ...] = ("101", "0101")
+) -> Check:
     """Closed counting formulas equal brute-force enumeration sizes."""
-    for base in ("101", "0101"):
+    for base in bases:
         for m in range(max_m + 1):
             expected = len(oracle.enumerate_insertions(base, m, oracle.INTERNAL_ONLY))
             got = counting.count_internal(len(base), m)
@@ -73,10 +94,12 @@ def check_insertion_counts(max_m: int) -> Check:
     return ("insertion-counts", True, f"m up to {max_m}")
 
 
-def check_distribution(lengths) -> Check:
-    """Formula probabilities match exhaustive enumeration, both modes."""
+def check_distribution(
+    lengths, modes: tuple[str, ...] = (words.MIRROR_IDENTIFIED, words.CHIRAL)
+) -> Check:
+    """Formula probabilities and the crossing pmf match exhaustive enumeration."""
     for n in lengths:
-        for mode in (words.MIRROR_IDENTIFIED, words.CHIRAL):
+        for mode in modes:
             dist = oracle.exact_distribution(n, mode)
             for canonical, cnt in dist.counts.items():
                 p = distributions.knot_probability(dist.classes[canonical], n)
@@ -84,7 +107,7 @@ def check_distribution(lengths) -> Check:
                     return (
                         "distribution",
                         False,
-                        f"n={n} {mode} {canonical}: {p} != {cnt}/{dist.total}",
+                        f"n={n} {mode} {canonical!r}: {p} != {cnt}/{dist.total}",
                     )
             pmf = distributions.crossing_pmf(n)
             for c, cnt in dist.crossing_counts.items():
@@ -105,18 +128,63 @@ def check_normalization(max_n: int) -> Check:
 
 
 def check_location_roundtrip(max_len: int, max_m: int) -> Check:
-    """Location map inverts reconstruction on every enumerated insertion."""
+    """Location map is injective on every enumerated insertion set and
+    reconstruction inverts it."""
     for n in range(max_len + 1):
-        for w in _all_words(n):
+        for w in oracle.all_words(n):
             for m in range(max_m + 1):
+                seen = {}
                 for wp in oracle.enumerate_insertions(w, m, oracle.INTERNAL_ONLY):
                     loc = insertions.location_map(w, wp)
                     if loc is None:
-                        return ("location-roundtrip", False, f"{w} -> {wp}: no map")
+                        return ("location-roundtrip", False, f"{w!r} -> {wp!r}: no map")
+                    other = seen.setdefault(loc.locations, wp)
+                    if other != wp:
+                        detail = f"{w!r} -> {wp!r} and {other!r} share {loc.locations}"
+                        return ("location-roundtrip", False, detail)
                     trace = insertions.reconstruct(w, m, loc)
                     if trace.word != wp:
-                        return ("location-roundtrip", False, f"{w} -> {wp} via {loc}")
+                        return ("location-roundtrip", False, f"{w!r} -> {wp!r} via {loc}")
     return ("location-roundtrip", True, f"len <= {max_len}, m <= {max_m}")
+
+
+def check_feasibility(max_len: int, max_m: int) -> Check:
+    """Reconstruction succeeds exactly on the feasible location sets, for
+    every base word and every set of at most m locations."""
+    for n in range(max_len + 1):
+        for m in range(max_m + 1):
+            size = 3 * m + n
+            if size == 0:
+                continue
+            for k in range(m + 1):
+                for locs in combinations(range(1, size + 1), k):
+                    feasible = insertions.is_feasible(size, locs)
+                    for w in oracle.all_words(n):
+                        if insertions.reconstruct(w, m, locs).success != feasible:
+                            detail = f"{w!r}, m={m}, {locs}: is_feasible says {feasible}"
+                            return ("feasibility", False, detail)
+    return ("feasibility", True, f"len <= {max_len}, m <= {max_m}")
+
+
+def check_phi_gradient(seed: int) -> Check:
+    """Closed-form phi gradient matches central differences (step 1e-6) within
+    1e-5 at 100 random interior points."""
+    phi, step, tol = distributions.phi, 1e-6, 1e-5
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 100:
+        x = rng.uniform(0.05, 0.9)
+        y = rng.uniform(0.01, 0.9)
+        if not (step < y < x - step and x + y < 1 - step):
+            continue
+        gx, gy = distributions.phi_gradient(x, y)
+        fx = (phi(x + step, y) - phi(x - step, y)) / (2 * step)
+        fy = (phi(x, y + step) - phi(x, y - step)) / (2 * step)
+        if abs(gx - fx) > tol or abs(gy - fy) > tol:
+            detail = f"at ({x}, {y}): ({gx}, {gy}) vs differences ({fx}, {fy})"
+            return ("phi-gradient", False, detail)
+        checked += 1
+    return ("phi-gradient", True, f"100 points from seed {seed}")
 
 
 def check_alpha_gap(lengths) -> Check:

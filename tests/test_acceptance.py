@@ -13,19 +13,11 @@ criterion, with the measured values and elapsed time.
 """
 
 import math
-import random
 import time
 from fractions import Fraction
-from itertools import combinations
 
-import pytest
-
-from billiardknots.counting import (
-    binomial,
-    binomial_lt,
-    count_full,
-    count_internal,
-)
+from billiardknots import selfcheck
+from billiardknots.counting import count_full
 from billiardknots.distributions import (
     BETA,
     X0,
@@ -33,27 +25,13 @@ from billiardknots.distributions import (
     alpha_rate,
     beta_summary,
     crossing_pmf,
-    knot_probability,
     phi,
     phi_gradient,
 )
-from billiardknots.insertions import is_feasible, location_map, reconstruct
-from billiardknots.oracle import (
-    ALL,
-    INTERNAL_ONLY,
-    all_terminal_words,
-    enumerate_insertions,
-    exact_distribution,
-)
+from billiardknots.insertions import reconstruct
+from billiardknots.oracle import INTERNAL_ONLY, all_words, enumerate_insertions
 from billiardknots.sampler import sample_pmf
-from billiardknots.words import (
-    CHIRAL,
-    MIRROR_IDENTIFIED,
-    REDUCED,
-    UNKNOT_FORMS,
-    is_reduced,
-    knot_class,
-)
+from billiardknots.words import MIRROR_IDENTIFIED, REDUCED, is_reduced, knot_class
 
 ORACLE_LENGTHS = (1, 3, 4, 6, 7, 9, 10, 12, 13)
 
@@ -64,43 +42,21 @@ def _verdict(number: int, ok: bool, detail: str, started: float) -> bool:
     return ok
 
 
-def _all_words(n):
-    for v in range(1 << n):
-        yield format(v, f"0{n}b") if n else ""
-
-
-@pytest.fixture(scope="module")
-def enumerations():
-    return {
-        (n, mode): exact_distribution(n, mode)
-        for n in ORACLE_LENGTHS
-        for mode in (MIRROR_IDENTIFIED, CHIRAL)
-    }
-
-
-def test_criterion_01_knot_probability_equals_enumeration(enumerations):
+def test_criterion_01_knot_probability_equals_enumeration():
     started = time.time()
-    checked = 0
-    for (n, mode), dist in enumerations.items():
-        for canonical, count in dist.counts.items():
-            p = knot_probability(dist.classes[canonical], n)
-            assert p.fraction == Fraction(count, dist.total), (n, mode, canonical)
-            checked += 1
+    _, ok, detail = selfcheck.check_distribution(ORACLE_LENGTHS)
+    assert ok, detail
     ok = _verdict(
-        1, True, f"knot probabilities exact for n in {ORACLE_LENGTHS}, both "
-        f"chirality modes ({checked} classes)", started,
+        1, ok, f"knot probabilities exact for n in {ORACLE_LENGTHS}, both "
+        "chirality modes", started,
     )
     assert ok
 
 
-def test_criterion_02_crossing_pmf_equals_enumeration(enumerations):
+def test_criterion_02_crossing_pmf_equals_enumeration():
     started = time.time()
-    for n in ORACLE_LENGTHS:
-        dist = enumerations[(n, MIRROR_IDENTIFIED)]
-        pmf = crossing_pmf(n)
-        for c, count in dist.crossing_counts.items():
-            mass = pmf.unknot_mass if c == 0 else pmf.masses[c]
-            assert mass.fraction == Fraction(count, dist.total), (n, c)
+    _, ok, detail = selfcheck.check_distribution(ORACLE_LENGTHS, (MIRROR_IDENTIFIED,))
+    assert ok, detail
     spot3 = crossing_pmf(3).masses[3].fraction == Fraction(1, 4)
     spot6 = crossing_pmf(6).masses[3].fraction == Fraction(18, 64)
     spot_unknot = crossing_pmf(6).unknot_mass.fraction == Fraction(36, 64)
@@ -114,25 +70,17 @@ def test_criterion_02_crossing_pmf_equals_enumeration(enumerations):
 
 def test_criterion_03_insertion_counts_match_enumeration():
     started = time.time()
-    reduced = [
-        w for n in range(3, 6) for w in _all_words(n) if is_reduced(w) == REDUCED
-    ]
+    reduced = tuple(
+        w for n in range(3, 6) for w in all_words(n) if is_reduced(w) == REDUCED
+    )
     assert len(enumerate_insertions("101", 2, INTERNAL_ONLY)) == 26
     assert count_full(1, 3) == 9
-    pairs = 0
-    for w in reduced:
-        for m in range(4):
-            assert count_internal(len(w), m) == len(
-                enumerate_insertions(w, m, INTERNAL_ONLY)
-            ), (w, m, "internal")
-            assert count_full(m, len(w)) == len(
-                enumerate_insertions(w, m, ALL)
-            ), (w, m, "full")
-            pairs += 1
+    _, ok, detail = selfcheck.check_insertion_counts(3, reduced)
+    assert ok, detail
     ok = _verdict(
-        3, True, f"closed counts equal enumeration for {len(reduced)} reduced "
-        f"words (len 3..5) x m<=3 ({pairs} pairs); |I'(101,2)|=26, F(1,3)=9",
-        started,
+        3, ok, f"closed counts equal enumeration for {len(reduced)} reduced "
+        f"words (len 3..5) x m<=3 ({4 * len(reduced)} pairs); |I'(101,2)|=26, "
+        "F(1,3)=9", started,
     )
     assert ok
 
@@ -149,27 +97,14 @@ def test_criterion_04_location_map_machinery():
     bad = reconstruct("101", 2, (1, 8))
     assert bad.word is None and bad.steps[-1].stack == "1"
 
-    for n in range(5):
-        for w in _all_words(n):
-            for m in range(4):
-                size = 3 * m + n
-                # injectivity and round trip over the whole insertion set
-                seen = {}
-                for wp in enumerate_insertions(w, m, INTERNAL_ONLY):
-                    loc = location_map(w, wp)
-                    assert loc is not None and loc.locations not in seen, (w, wp)
-                    seen[loc.locations] = wp
-                    assert reconstruct(w, m, loc).word == wp, (w, wp)
-                # feasibility iff reconstruction success, over all small sets
-                if size == 0:
-                    continue
-                for k in range(m + 1):
-                    for locs in combinations(range(1, size + 1), k):
-                        assert reconstruct(w, m, locs).success == is_feasible(
-                            size, locs
-                        ), (w, m, locs)
+    # injectivity and round trip over the whole insertion set
+    _, ok, detail = selfcheck.check_location_roundtrip(4, 3)
+    assert ok, detail
+    # feasibility iff reconstruction success, over all small sets
+    _, ok, detail = selfcheck.check_feasibility(4, 3)
+    assert ok, detail
     ok = _verdict(
-        4, True, "location map injective, round trip exact, feasibility == "
+        4, ok, "location map injective, round trip exact, feasibility == "
         "reconstruction success for len<=4, m<=3; worked traces verbatim",
         started,
     )
@@ -178,11 +113,11 @@ def test_criterion_04_location_map_machinery():
 
 def test_criterion_05_pmf_normalization_to_40():
     started = time.time()
+    _, ok, detail = selfcheck.check_normalization(40)
+    assert ok, detail
     lengths = [n for n in range(1, 41) if n % 3 != 2]
-    for n in lengths:
-        assert crossing_pmf(n).total() == 1, n
     ok = _verdict(
-        5, True, f"pmf sums to exactly 1 for all {len(lengths)} valid n <= 40",
+        5, ok, f"pmf sums to exactly 1 for all {len(lengths)} valid n <= 40",
         started,
     )
     assert ok
@@ -190,19 +125,16 @@ def test_criterion_05_pmf_normalization_to_40():
 
 def test_criterion_06_alpha_convergence():
     started = time.time()
+    _, decreasing, detail = selfcheck.check_alpha_gap((99, 300, 999, 3000))
     trefoil = knot_class("101")
-    gaps = {n: alpha_rate(trefoil, n).gap for n in (99, 300, 999, 3000)}
-    decreasing = all(
-        gaps[a] > gaps[b] for a, b in ((99, 300), (300, 999), (999, 3000))
-    )
+    gaps = {n: alpha_rate(trefoil, n).gap for n in (999, 3000)}
     ok = _verdict(
         6, gaps[999] <= 0.05 and gaps[3000] <= 0.02 and decreasing,
-        "trefoil rate gaps " + ", ".join(f"n={n}: {g:.5f}" for n, g in gaps.items()),
-        started,
+        f"trefoil rate gaps at n=99/300/999/3000: {detail}", started,
     )
     assert gaps[999] <= 0.05
     assert gaps[3000] <= 0.02
-    assert decreasing
+    assert decreasing, detail
     assert ok
 
 
@@ -269,60 +201,32 @@ def test_criterion_08_monte_carlo_consistency():
 
 def test_criterion_09_confluence_audit():
     started = time.time()
-    words_checked = 0
-    for n in range(11):
-        for w in _all_words(n):
-            terminals = all_terminal_words(w)
-            words_checked += 1
-            if any(len(t) >= 3 for t in terminals):
-                assert len(terminals) == 1, (w, terminals)
-            else:
-                assert terminals <= set(UNKNOT_FORMS) or all(
-                    len(t) % 3 == 2 for t in terminals
-                ), (w, terminals)
+    # a word with several terminals may only leave unknot forms, and
+    # words.reduce reaches one of every word's terminals
+    _, ok, detail = selfcheck.check_confluence(10)
+    assert ok, detail
     ok = _verdict(
-        9, True, f"all reduction orders agree on {words_checked} words (n <= 10); "
-        "short terminals are unknot forms", started,
+        9, ok, f"all reduction orders agree on {(1 << 11) - 1} words (n <= 10); "
+        "non-unique terminals are unknot forms", started,
     )
     assert ok
 
 
 def test_criterion_10_identity_suite():
     started = time.time()
-    for n in range(41):
-        for m in range(n + 1):
-            lhs1 = sum(k * binomial(n, k) for k in range(m))
-            assert 2 * lhs1 == n * binomial_lt(n, m) - m * binomial(n, m), (n, m)
-            lhs2 = sum(k * (k - 1) * binomial(n, k) for k in range(m))
-            assert 4 * lhs2 == n * (n - 1) * binomial_lt(n, m) - m * (
-                2 * m + n - 3
-            ) * binomial(n, m), (n, m)
-    for m in range(13):
-        for ell in range(13):
-            n = 3 * m + ell
-            total = count_internal(ell, m)
-            for e in range(1, m + 1):
-                total += 4 * e * (binomial(n, m - e) - binomial_lt(n, m - e))
-            assert count_full(m, ell) == total, (m, ell)
+    _, ok, detail = selfcheck.check_counting(40)
+    assert ok, detail
+    _, ok, detail = selfcheck.check_count_full_summation(12)
+    assert ok, detail
 
     assert abs(phi(X0, Y0)) <= 1e-9
     gx0, gy0 = phi_gradient(X0, Y0)
     assert abs(gx0) <= 1e-9 and abs(gy0) <= 1e-9
 
-    rng = random.Random(12345)
-    step = 1e-6
-    checked = 0
-    while checked < 100:
-        x = rng.uniform(0.05, 0.9)
-        y = rng.uniform(0.01, 0.9)
-        if not (step < y < x - step and x + y < 1 - step):
-            continue
-        gx, gy = phi_gradient(x, y)
-        assert abs(gx - (phi(x + step, y) - phi(x - step, y)) / (2 * step)) <= 1e-5
-        assert abs(gy - (phi(x, y + step) - phi(x, y - step)) / (2 * step)) <= 1e-5
-        checked += 1
+    _, ok, detail = selfcheck.check_phi_gradient(12345)
+    assert ok, detail
     ok = _verdict(
-        10, True, "row-sum identities (n<=40), summation form of the full count "
+        10, ok, "row-sum identities (n<=40), summation form of the full count "
         "(m,ell<=12), gradient checks at the critical point and 100 random points",
         started,
     )

@@ -143,8 +143,15 @@ def test_render_command(capsys, tmp_path):
 def test_selfcheck_quick(capsys):
     code, out, _ = run(capsys, "selfcheck")
     assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 7
+    assert out == (
+        "PASS  reduce-engines: all words up to length 9\n"
+        "PASS  confluence: all words up to length 8\n"
+        "PASS  counting-identities: n up to 20\n"
+        "PASS  insertion-counts: m up to 2\n"
+        "PASS  distribution: n in [3, 4, 6, 7]\n"
+        "PASS  pmf-normalization: n up to 21\n"
+        "PASS  location-roundtrip: len <= 3, m <= 2\n"
+    )
 
 
 def test_invalid_word_is_exit_2(capsys):

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from billiardknots import selfcheck
 from billiardknots.counting import (
     ballot_clamped,
     binomial,
@@ -11,7 +12,7 @@ from billiardknots.counting import (
     feasible_count,
 )
 from billiardknots.insertions import is_feasible
-from billiardknots.oracle import ALL, INTERNAL_ONLY, enumerate_insertions
+from billiardknots.oracle import ALL, INTERNAL_ONLY, all_words, enumerate_insertions
 from billiardknots.words import REDUCED, is_reduced
 
 
@@ -22,10 +23,7 @@ def brute_feasible_count(size, s):
 
 
 def reduced_words_of_length(ell):
-    for v in range(1 << ell):
-        w = format(v, f"0{ell}b")
-        if is_reduced(w) == REDUCED:
-            yield w
+    return (w for w in all_words(ell) if is_reduced(w) == REDUCED)
 
 
 def test_binomial():
@@ -102,32 +100,21 @@ def test_count_full_examples():
 
 
 def test_count_full_matches_enumeration_small():
-    for ell in (3, 4):
-        for w in reduced_words_of_length(ell):
-            for m in range(3):
-                assert count_full(m, ell) == len(enumerate_insertions(w, m, ALL))
+    bases = (*reduced_words_of_length(3), *reduced_words_of_length(4))
+    _, ok, detail = selfcheck.check_insertion_counts(2, bases)
+    assert ok, detail
 
 
 def test_count_full_summation_form():
     # the pre-simplification form: internal count plus 4e staged external variants
-    for m in range(9):
-        for ell in range(9):
-            n = 3 * m + ell
-            total = count_internal(ell, m)
-            for e in range(1, m + 1):
-                total += 4 * e * (binomial(n, m - e) - binomial_lt(n, m - e))
-            assert count_full(m, ell) == total, (m, ell)
+    _, ok, detail = selfcheck.check_count_full_summation(8)
+    assert ok, detail
 
 
 def test_weighted_row_sum_identities():
     # both identities, cleared of fractions (factors 2 and 4)
-    for n in range(25):
-        for m in range(n + 1):
-            lhs1 = sum(k * binomial(n, k) for k in range(m))
-            assert 2 * lhs1 == n * binomial_lt(n, m) - m * binomial(n, m)
-            lhs2 = sum(k * (k - 1) * binomial(n, k) for k in range(m))
-            rhs2 = n * (n - 1) * binomial_lt(n, m) - m * (2 * m + n - 3) * binomial(n, m)
-            assert 4 * lhs2 == rhs2
+    _, ok, detail = selfcheck.check_counting(24)
+    assert ok, detail
 
 
 def test_counts_nondecreasing_in_m():

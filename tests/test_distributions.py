@@ -1,9 +1,9 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
 
+from billiardknots import selfcheck
 from billiardknots.counting import binomial, binomial_lt, count_full, count_internal
 from billiardknots.distributions import (
     BETA,
@@ -112,10 +112,8 @@ def test_crossing_pmf_small_values():
 
 
 def test_crossing_pmf_normalizes_exactly():
-    for n in range(1, 28):
-        if n % 3 == 2:
-            continue
-        assert crossing_pmf(n).total() == 1, n
+    _, ok, detail = selfcheck.check_normalization(27)
+    assert ok, detail
 
 
 def test_crossing_pmf_support():
@@ -230,20 +228,8 @@ def test_phi_domain_checks():
 
 
 def test_phi_gradient_matches_finite_differences():
-    rng = random.Random(20260809)
-    step = 1e-6
-    checked = 0
-    while checked < 100:
-        x = rng.uniform(0.05, 0.9)
-        y = rng.uniform(0.01, 0.9)
-        if not (step < y < x - step and x + y < 1 - step):
-            continue
-        gx, gy = phi_gradient(x, y)
-        fx = (phi(x + step, y) - phi(x - step, y)) / (2 * step)
-        fy = (phi(x, y + step) - phi(x, y - step)) / (2 * step)
-        assert gx == pytest.approx(fx, abs=1e-5)
-        assert gy == pytest.approx(fy, abs=1e-5)
-        checked += 1
+    _, ok, detail = selfcheck.check_phi_gradient(20260809)
+    assert ok, detail
 
 
 def test_entropy_endpoints():

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from billiardknots import selfcheck
 from billiardknots.insertions import (
     ExternalDecomposition,
     LocationSet,
@@ -12,13 +13,8 @@ from billiardknots.insertions import (
     reconstruct,
     witnesses,
 )
-from billiardknots.oracle import ALL, INTERNAL_ONLY, enumerate_insertions
+from billiardknots.oracle import ALL, all_words, enumerate_insertions
 from billiardknots.words import knot_class, reduce
-
-
-def all_words(n):
-    for v in range(1 << n):
-        yield format(v, f"0{n}b") if n else ""
 
 
 # ---------------------------------------------------------------- reconstruct
@@ -124,15 +120,8 @@ def test_location_map_inverts_reconstruct():
 
 def test_injectivity_small():
     # no two distinct insertion products share a location set
-    for n in range(6):
-        for w in all_words(n):
-            for m in range(4):
-                seen = {}
-                for wp in enumerate_insertions(w, m, INTERNAL_ONLY):
-                    loc = location_map(w, wp)
-                    assert loc is not None, (w, wp)
-                    assert loc.locations not in seen, (w, wp, seen[loc.locations])
-                    seen[loc.locations] = wp
+    _, ok, detail = selfcheck.check_location_roundtrip(5, 3)
+    assert ok, detail
 
 
 # ---------------------------------------------------------------- feasibility
@@ -153,16 +142,8 @@ def test_is_feasible_bounds():
 
 def test_feasibility_equals_reconstruction_success():
     # success depends only on the location set and the total size
-    for ell in range(4):
-        for m in range(4):
-            size = 3 * m + ell
-            if size == 0:
-                continue
-            for k in range(m + 1):
-                for locs in combinations(range(1, size + 1), k):
-                    expected = is_feasible(size, locs)
-                    for w in all_words(ell):
-                        assert reconstruct(w, m, locs).success == expected
+    _, ok, detail = selfcheck.check_feasibility(3, 3)
+    assert ok, detail
 
 
 # ---------------------------------------------------------------- external staging

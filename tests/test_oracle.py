@@ -1,8 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from billiardknots.distributions import crossing_pmf, knot_probability
+from billiardknots import selfcheck
 from billiardknots.oracle import (
     ALL,
     INTERNAL_ONLY,
@@ -12,12 +10,7 @@ from billiardknots.oracle import (
     exact_distribution,
     tally_terminals,
 )
-from billiardknots.words import CHIRAL, UNKNOT_FORMS, knot_class, reduce
-
-
-def all_words(n):
-    for v in range(1 << n):
-        yield format(v, f"0{n}b") if n else ""
+from billiardknots.words import CHIRAL, knot_class
 
 
 # ---------------------------------------------------------------- exact distribution
@@ -68,17 +61,8 @@ def test_exact_distribution_guard_and_validation():
 
 def test_formulas_match_enumeration_small():
     # the acceptance suite covers the full range; keep a quick version here
-    for n in (3, 4, 6, 7):
-        for mode in ("mirror-identified", CHIRAL):
-            dist = exact_distribution(n, mode)
-            for canonical, count in dist.counts.items():
-                p = knot_probability(dist.classes[canonical], n)
-                assert p.fraction == Fraction(count, dist.total)
-        pmf = crossing_pmf(n)
-        dist = exact_distribution(n)
-        for c, count in dist.crossing_counts.items():
-            mass = pmf.unknot_mass if c == 0 else pmf.masses[c]
-            assert mass.fraction == Fraction(count, dist.total)
+    _, ok, detail = selfcheck.check_distribution((3, 4, 6, 7))
+    assert ok, detail
 
 
 # ---------------------------------------------------------------- insertion enumeration
@@ -127,14 +111,6 @@ def test_all_terminal_words_guard():
 
 
 def test_confluence_up_to_length_8():
-    # terminals of length >= 3 are unique; short ones are unknot leftovers
-    for n in range(9):
-        for w in all_words(n):
-            terminals = all_terminal_words(w)
-            assert reduce(w) in terminals
-            if len(terminals) > 1:
-                assert terminals <= set(UNKNOT_FORMS), (w, terminals)
-            else:
-                (t,) = terminals
-                if len(t) < 3:
-                    assert t in UNKNOT_FORMS or len(t) % 3 == 2, (w, t)
+    # only unknot leftovers may be non-unique; reduce reaches a terminal
+    _, ok, detail = selfcheck.check_confluence(8)
+    assert ok, detail

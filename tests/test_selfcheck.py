@@ -1,0 +1,68 @@
+"""Each shared check fails when the function it audits gives a wrong answer.
+
+The acceptance suite and the unit tests assert on these checks, so a check
+that always passed would hide every fault.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+
+from billiardknots import counting, distributions, insertions, oracle, words
+from billiardknots import selfcheck as sc
+from billiardknots.cli import main
+
+# the originals, which the stand-ins call once the module attribute is patched
+binomial_lt, count_full = counting.binomial_lt, counting.count_full
+count_internal = counting.count_internal
+
+PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
+    (lambda: sc.check_reduce_engines(3), words, "reduce", lambda w: w),
+    (lambda: sc.check_confluence(3), words, "reduce", lambda w: w),
+    (lambda: sc.check_confluence(3), oracle, "all_terminal_words",
+     lambda w: {"101", "010"}),
+    (lambda: sc.check_counting(6), counting, "binomial_lt",
+     lambda n, m: binomial_lt(n, m) + (m == 3)),
+    (lambda: sc.check_count_full_summation(4), counting, "count_full",
+     lambda m, ell: count_full(m, ell) + (m == 2)),
+    (lambda: sc.check_insertion_counts(2), counting, "count_internal",
+     lambda ell, m: count_internal(ell, m) + (m == 2)),
+    (lambda: sc.check_insertion_counts(2), counting, "count_full",
+     lambda m, ell: count_full(m, ell) + (m == 1)),
+    (lambda: sc.check_distribution((3, 4)), distributions, "count_full",
+     lambda m, ell: count_full(m, ell) + (m == 1)),
+    (lambda: sc.check_distribution((3,), (words.CHIRAL,)), distributions,
+     "knot_probability", lambda knot, n: distributions.ExactProb(0, n)),
+    (lambda: sc.check_normalization(7), distributions, "count_full",
+     lambda m, ell: count_full(m, ell) + (m == 1)),
+    (lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
+     lambda w, wp: None),
+    (lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
+     lambda w, wp: insertions.LocationSet((), (len(wp) - len(w)) // 3)),
+    (lambda: sc.check_location_roundtrip(2, 1), insertions, "reconstruct",
+     lambda w, m, locs: SimpleNamespace(word=None)),
+    (lambda: sc.check_feasibility(2, 2), insertions, "is_feasible",
+     lambda size, locs: True),
+    (lambda: sc.check_phi_gradient(1), distributions, "phi_gradient",
+     lambda x, y: (0.0, 0.0)),
+    (lambda: sc.check_alpha_gap((99, 300, 999)), distributions, "alpha_rate",
+     lambda knot, n: SimpleNamespace(gap=n / 1000)),
+]
+
+
+@pytest.mark.parametrize("run,module,name,wrong", PLANTED)
+def test_shared_check_catches_a_planted_fault(run, module, name, wrong, monkeypatch):
+    _, ok, passed = run()
+    assert ok, passed
+    monkeypatch.setattr(module, name, wrong)
+    _, ok, detail = run()
+    assert not ok
+    assert detail and detail != passed
+
+
+def test_selfcheck_command_fails_on_a_planted_fault(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "all_terminal_words", lambda w: {"101", "010"})
+    assert main(["selfcheck"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  confluence: " in out
+    assert out.count("PASS") == 6

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from billiardknots.oracle import reduce_by_moves
+from billiardknots.oracle import all_words, reduce_by_moves
 from billiardknots.words import (
     CHIRAL,
     EXTERNAL_PREFIX,
@@ -30,11 +30,6 @@ from billiardknots.words import (
 )
 
 binary_words = st.text(alphabet="01", max_size=40)
-
-
-def all_words(n):
-    for v in range(1 << n):
-        yield format(v, f"0{n}b") if n else ""
 
 
 def reduced_words(max_len):
