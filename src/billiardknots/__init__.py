@@ -6,7 +6,14 @@ on such words, exact knot and crossing-number distributions, brute-force
 and Monte Carlo cross-validation, and an SVG renderer, all behind one CLI.
 """
 
-from .counting import binomial, binomial_lt, count_full, count_internal, feasible_count
+from .counting import (
+    binomial,
+    binomial_lt,
+    count_full,
+    count_full_row,
+    count_internal,
+    feasible_count,
+)
 from .distributions import (
     ALPHA,
     BETA,
@@ -36,6 +43,7 @@ from .oracle import (
     ExactDist,
     ResourceGuardError,
     all_terminal_words,
+    crossing_pmf_by_double_sum,
     enumerate_insertions,
     exact_distribution,
     reduce_by_moves,

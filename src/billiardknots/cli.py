@@ -21,12 +21,19 @@ _GUARD_ENV = {
     "enum_max_n": "BILLIARDKNOTS_MAX_ENUM_N",  # exact enumeration length
     "ins_max_len": "BILLIARDKNOTS_MAX_WORD_LEN",  # insertion base length
     "ins_max_m": "BILLIARDKNOTS_MAX_INSERTIONS",  # insertion count
+    "prob_max_n": "BILLIARDKNOTS_MAX_PROB_N",  # prob/rate length
 }
 _GUARD_DEFAULTS = {
     "enum_max_n": 22,
     "ins_max_len": 8,
     "ins_max_m": 4,
+    "prob_max_n": 100_000,
 }
+
+# Python releases without the int-to-str digit limit (3.10.6 and older)
+# have neither function
+_get_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 # exact pmf is cheap enough below this length to compute alongside a sample
 _SAMPLE_EXACT_LIMIT = 60
@@ -99,8 +106,18 @@ def _cmd_class(args, guards) -> None:
     _emit(args, cls.to_json(), text)
 
 
+def _probability_length(args, guards) -> None:
+    """Reject invalid lengths (exit 2), then lengths above the prob/rate guard."""
+    distributions.check_length(args.n)
+    if args.n > guards["prob_max_n"]:
+        raise oracle.ResourceGuardError(
+            f"n={args.n} exceeds the prob/rate guard {guards['prob_max_n']}"
+        )
+
+
 def _cmd_prob(args, guards) -> None:
     cls = words.knot_class(args.word, _mode(args))
+    _probability_length(args, guards)
     p = distributions.knot_probability(cls, args.n)
     payload = {"word": args.word, "n": args.n, "canonical": cls.canonical,
                "probability": str(p), "float": float(p)}
@@ -119,6 +136,7 @@ def _cmd_pmf(args, guards) -> None:
 
 def _cmd_rate(args, guards) -> None:
     cls = words.knot_class(args.word, _mode(args))
+    _probability_length(args, guards)
     report = distributions.alpha_rate(cls, args.n)
     payload = {"word": args.word, "n": report.n, "log2_rate": report.log2_rate,
                "target": report.target, "gap": report.gap}
@@ -293,6 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # exact fractions at guarded lengths run past the default 4300-digit
+    # limit on int-to-str conversion (2**14287 has 4301 digits); the limit
+    # is lifted only while a command runs, after the arguments are parsed
+    digit_limit = _get_digit_limit()
+    _set_digit_limit(0)
     try:
         return args.func(args, _guards()) or 0
     except ValueError as exc:
@@ -304,6 +327,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except oracle.ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
+    finally:
+        _set_digit_limit(digit_limit)
 
 
 if __name__ == "__main__":

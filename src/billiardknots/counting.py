@@ -20,14 +20,22 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def binomial_lt(n: int, m: int) -> int:
-    """Partial row sum C(n,0) + C(n,1) + ... + C(n,m-1); 0 for m <= 0."""
+    """Partial row sum C(n,0) + C(n,1) + ... + C(n,m-1); 0 for m <= 0.
+
+    One running pass, C(n, k+1) = C(n, k) * (n - k) / (k + 1), so each term
+    costs a small multiply and divide instead of a fresh binomial.  The
+    small cache serves callers that ask for the same sum for several knots
+    at one length.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if m <= 0:
-        return 0
-    return sum(comb(n, k) for k in range(min(m, n + 1)))
+    total, term = 0, 1
+    for k in range(min(m, n + 1)):
+        total += term
+        term = term * (n - k) // (k + 1)
+    return total
 
 
 def feasible_count(size: int, s: int) -> int:
@@ -74,9 +82,31 @@ def count_full(m: int, ell: int) -> int:
     if ell < 0 or m < 0:
         raise ValueError("ell and m must be nonnegative")
     n = 3 * m + ell
+    return _full_count(m, ell, binomial(n, m), binomial_lt(n, m))
+
+
+def count_full_row(n: int) -> list[int]:
+    """[count_full(j, n - 3j) for j in 0..n//3] in one pass over row n.
+
+    Every entry draws on C(n, j) and the partial sum of row n below it, so
+    one running binomial and its prefix sum serve the whole list.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    row = []
+    term, below = 1, 0  # C(n, m) and binomial_lt(n, m)
+    for m in range(n // 3 + 1):
+        row.append(_full_count(m, n - 3 * m, term, below))
+        below += term
+        term = term * (n - m) // (m + 1)
+    return row
+
+
+def _full_count(m: int, ell: int, binom: int, below: int) -> int:
+    """count_full(m, ell) from C(n, m) and binomial_lt(n, m), n = 3m + ell."""
     a = m * m + (ell + 5) * m + 2
     b = m * m + (2 * ell + 9) * m + (ell * ell + 7 * ell + 2)
-    doubled = a * binomial(n, m) - b * binomial_lt(n, m)
+    doubled = a * binom - b * below
     if doubled % 2:
         raise AssertionError(f"count_full({m}, {ell}): doubled value {doubled} is odd")
     return doubled // 2

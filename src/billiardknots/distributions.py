@@ -9,10 +9,12 @@ trajectory closes to a knot).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from .counting import binomial, count_full
+from .counting import count_full, count_full_row
 from .words import UNKNOT_CLASS, KnotClass
 
 #: per-crossing decay rate of any fixed knot's probability
@@ -118,20 +120,24 @@ class CrossingPmf:
 def crossing_pmf(n: int) -> CrossingPmf:
     """Exact distribution of the crossing number at length n.
 
-    For each c, reduced words with c runs and k two-letter runs have length
-    c + k; summing the word counts over admissible k (k <= c - 2 and
-    c + k = n mod 3) and halving the 2**n total for the two starting bits
-    gives the mass.  The masses plus the unknot mass sum to exactly 1.
+    Reduced words with c runs and k two-letter runs have length c + k and
+    C(c-2, k) run patterns; each reaches count_full((n-c-k)/3, c+k) words
+    of length n, and halving the 2**n total for the two starting bits
+    gives the mass.  Every such count has 3m + ell = n, so the whole row
+    comes from count_full_row(n).  Placed at position 3m of a vector G,
+    the sum over k at crossing number c is coefficient n-c of
+    (1+x)**(c-2) * G, so each c costs one pass of additions over G.  The
+    masses plus the unknot mass sum to exactly 1.  oracle keeps the term
+    by term double sum as the reference.
     """
     check_length(n)
+    g = [0] * (n + 1)
+    g[::3] = count_full_row(n)
     masses = {}
     for c in range(3, n + 1):
-        acc = 0
-        k = (n - c) % 3
-        while k <= c - 2 and n - c - k >= 0:
-            acc += binomial(c - 2, k) * count_full((n - c - k) // 3, c + k)
-            k += 3
-        masses[c] = ExactProb(2 * acc, n)
+        r = n - c  # only coefficients up to n - c are still needed
+        g = [g[0], *map(operator.add, g[1 : r + 1], g[:r])]
+        masses[c] = ExactProb(2 * g[r], n)
     return CrossingPmf(n, knot_probability(UNKNOT_CLASS, n), masses)
 
 
@@ -175,14 +181,20 @@ class BetaSummary:
     tail_mass: Fraction
 
 
-def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
+def beta_summary(
+    n: int, delta: float = 0.05, pmf: Optional[CrossingPmf] = None
+) -> BetaSummary:
     """Locate the pmf mode and the exact mass outside the beta +- delta band.
 
     The unknot (crossing number 0) counts toward the tail.  Ties on the
     mode go to the smallest crossing number.  Lengths below 3 carry no
-    crossing mass and have no mode; they are rejected.
+    crossing mass and have no mode; they are rejected.  A caller that
+    already holds crossing_pmf(n) passes it as pmf to skip recomputing it.
     """
-    pmf = crossing_pmf(n)
+    if pmf is None:
+        pmf = crossing_pmf(n)
+    elif pmf.n != n:
+        raise ValueError(f"pmf is for n={pmf.n}, not n={n}")
     if not pmf.masses:
         raise ValueError(f"n={n} has no crossing mass, so the pmf has no mode")
     mode = None

@@ -12,9 +12,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .distributions import check_length
+from .counting import binomial, count_full
+from .distributions import CrossingPmf, ExactProb, check_length, knot_probability
 from .words import (
     MIRROR_IDENTIFIED,
+    UNKNOT_CLASS,
     KnotClass,
     Word,
     available_moves,
@@ -77,6 +79,27 @@ def reduce_by_moves(w: Word) -> Word:
             return w
         i = moves[0].position - 1
         w = w[:i] + w[i + 3 :]
+
+
+def crossing_pmf_by_double_sum(n: int) -> CrossingPmf:
+    """Reference crossing pmf: the paper's double sum, one count_full per term.
+
+    For each c, reduced words with c runs and k two-letter runs have length
+    c + k; summing the word counts over admissible k (k <= c - 2 and
+    c + k = n mod 3) and halving the 2**n total for the two starting bits
+    gives the mass.  About n**2/6 count_full calls, each a sum over row n;
+    distributions.crossing_pmf must give the same masses.
+    """
+    check_length(n)
+    masses = {}
+    for c in range(3, n + 1):
+        acc = 0
+        k = (n - c) % 3
+        while k <= c - 2 and n - c - k >= 0:
+            acc += binomial(c - 2, k) * count_full((n - c - k) // 3, c + k)
+            k += 3
+        masses[c] = ExactProb(2 * acc, n)
+    return CrossingPmf(n, knot_probability(UNKNOT_CLASS, n), masses)
 
 
 def tally_terminals(n: int, start: int, stop: int) -> Counter:

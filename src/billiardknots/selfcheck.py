@@ -77,6 +77,16 @@ def check_count_full_summation(limit: int) -> Check:
     return ("count-full-summation", True, f"m, ell up to {limit}")
 
 
+def check_count_full_row(max_n: int) -> Check:
+    """The one-pass row of full counts equals count_full term by term."""
+    for n in range(max_n + 1):
+        row = counting.count_full_row(n)
+        expected = [counting.count_full(j, n - 3 * j) for j in range(n // 3 + 1)]
+        if row != expected:
+            return ("count-full-row", False, f"row {n}: {row} != {expected}")
+    return ("count-full-row", True, f"n up to {max_n}")
+
+
 def check_insertion_counts(
     max_m: int, bases: tuple[str, ...] = ("101", "0101")
 ) -> Check:
@@ -98,6 +108,7 @@ def check_distribution(
     lengths, modes: tuple[str, ...] = (words.MIRROR_IDENTIFIED, words.CHIRAL)
 ) -> Check:
     """Formula probabilities and the crossing pmf match exhaustive enumeration."""
+    lengths = tuple(lengths)
     for n in lengths:
         for mode in modes:
             dist = oracle.exact_distribution(n, mode)
@@ -117,6 +128,21 @@ def check_distribution(
     return ("distribution", True, f"n in {sorted(lengths)}")
 
 
+def check_pmf_reference(max_n: int) -> Check:
+    """The Pascal-recurrence crossing pmf equals the reference double sum."""
+    for n in range(max_n + 1):
+        if n % 3 == 2:
+            continue
+        fast = distributions.crossing_pmf(n)
+        slow = oracle.crossing_pmf_by_double_sum(n)
+        for c in range(n + 1):
+            got = fast.unknot_mass if c == 0 else fast.masses.get(c)
+            expected = slow.unknot_mass if c == 0 else slow.masses.get(c)
+            if got != expected:
+                return ("pmf-reference", False, f"n={n} c={c}: {got} != {expected}")
+    return ("pmf-reference", True, f"n up to {max_n}")
+
+
 def check_normalization(max_n: int) -> Check:
     """Crossing pmf masses sum to exactly 1."""
     for n in range(1, max_n + 1):
@@ -125,6 +151,26 @@ def check_normalization(max_n: int) -> Check:
         if distributions.crossing_pmf(n).total() != 1:
             return ("pmf-normalization", False, f"n={n}")
     return ("pmf-normalization", True, f"n up to {max_n}")
+
+
+def check_class_invariance(
+    max_m: int, bases: tuple[str, ...] = ("101", "0101", "100101")
+) -> Check:
+    """Every word reachable by at most m insertions of any kind keeps the
+    base word's knot class, and its reduced length keeps the base's
+    length mod 3."""
+    for base in bases:
+        cls = words.knot_class(base)
+        for m in range(max_m + 1):
+            for wp in oracle.enumerate_insertions(base, m, oracle.ALL):
+                if words.knot_class(wp) != cls:
+                    detail = f"{base!r} -> {wp!r}: class changed"
+                elif len(words.reduce(wp)) % 3 != len(base) % 3:
+                    detail = f"{base!r} -> {wp!r}: reduced length mod 3 changed"
+                else:
+                    continue
+                return ("class-invariance", False, detail)
+    return ("class-invariance", True, f"bases {', '.join(bases)}, m <= {max_m}")
 
 
 def check_location_roundtrip(max_len: int, max_m: int) -> Check:

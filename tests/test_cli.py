@@ -1,6 +1,9 @@
 import json
+import sys
 
+from billiardknots import distributions
 from billiardknots.cli import main
+from billiardknots.words import knot_class
 
 
 def run(capsys, *argv):
@@ -67,6 +70,39 @@ def test_length_zero_is_the_unknot(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["empirical"] == {"0": 1.0} and data["tv_distance_to_exact"] == 0.0
+
+
+def test_prob_prints_exact_fractions_past_the_digit_limit(capsys):
+    # 2**14287 has 4301 decimal digits, one more than Python's default limit
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "prob", "101", "--n", "14287", "--format", "json")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit  # lifted only inside main
+    printed = json.loads(out)["probability"]
+    assert len(printed.split("/")[1]) == 4301
+    p = distributions.knot_probability(knot_class("101"), 14287)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert printed == str(p)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_prob_and_rate_guard(capsys, monkeypatch):
+    def never(knot, n):
+        raise AssertionError(f"knot_probability ran at n={n}")
+
+    monkeypatch.setattr(distributions, "knot_probability", never)
+    for argv in (("prob", "101"), ("rate", "--word", "101")):
+        code, out, err = run(capsys, *argv, "--n", "100003")
+        assert code == 3, argv
+        assert out == "" and "n=100003 exceeds the prob/rate guard 100000" in err
+        monkeypatch.setenv("BILLIARDKNOTS_MAX_PROB_N", "9")
+        code, _, err = run(capsys, *argv, "--n", "10")
+        assert code == 3 and "guard 9" in err
+        code, _, err = run(capsys, *argv, "--n", "11")  # invalid length first
+        assert code == 2
+        monkeypatch.delenv("BILLIARDKNOTS_MAX_PROB_N")
 
 
 def test_rate_command(capsys):

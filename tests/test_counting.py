@@ -8,6 +8,7 @@ from billiardknots.counting import (
     binomial,
     binomial_lt,
     count_full,
+    count_full_row,
     count_internal,
     feasible_count,
 )
@@ -41,6 +42,10 @@ def test_binomial_lt():
     assert binomial_lt(5, 0) == 0
     assert binomial_lt(5, -3) == 0
     assert binomial_lt(4, 99) == 16  # saturates at the full row sum
+    for n in range(30):
+        for m in range(-1, n + 3):
+            assert binomial_lt(n, m) == sum(binomial(n, k) for k in range(m))
+    assert binomial_lt.cache_info().maxsize == 64  # bounded, not one entry per call
 
 
 def test_feasible_count_examples():
@@ -109,6 +114,14 @@ def test_count_full_summation_form():
     # the pre-simplification form: internal count plus 4e staged external variants
     _, ok, detail = selfcheck.check_count_full_summation(8)
     assert ok, detail
+
+
+def test_count_full_row_matches_count_full():
+    _, ok, detail = selfcheck.check_count_full_row(60)
+    assert ok, detail
+    assert count_full_row(0) == [1]
+    with pytest.raises(ValueError):
+        count_full_row(-1)
 
 
 def test_weighted_row_sum_identities():

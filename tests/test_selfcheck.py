@@ -14,7 +14,13 @@ from billiardknots.cli import main
 
 # the originals, which the stand-ins call once the module attribute is patched
 binomial_lt, count_full = counting.binomial_lt, counting.count_full
-count_internal = counting.count_internal
+count_internal, count_full_row = counting.count_internal, counting.count_full_row
+knot_class = words.knot_class
+
+
+def _bump_first(row):  # one wrong entry, the count that feeds the mass at c = n
+    return [row[0] + 1, *row[1:]]
+
 
 PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
     (lambda: sc.check_reduce_engines(3), words, "reduce", lambda w: w),
@@ -35,6 +41,16 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
      "knot_probability", lambda knot, n: distributions.ExactProb(0, n)),
     (lambda: sc.check_normalization(7), distributions, "count_full",
      lambda m, ell: count_full(m, ell) + (m == 1)),
+    (lambda: sc.check_distribution((6,), (words.CHIRAL,)), distributions,
+     "count_full_row", lambda n: _bump_first(count_full_row(n))),
+    (lambda: sc.check_pmf_reference(13), distributions, "count_full_row",
+     lambda n: _bump_first(count_full_row(n))),
+    (lambda: sc.check_count_full_row(12), counting, "count_full_row",
+     lambda n: _bump_first(count_full_row(n))),
+    (lambda: sc.check_count_full_row(12), counting, "count_full",
+     lambda m, ell: count_full(m, ell) + (m == 2)),
+    (lambda: sc.check_class_invariance(2), words, "knot_class",
+     lambda w: knot_class(w if len(w) < 9 else w[3:])),
     (lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
      lambda w, wp: None),
     (lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
@@ -66,3 +82,8 @@ def test_selfcheck_command_fails_on_a_planted_fault(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  confluence: " in out
     assert out.count("PASS") == 6
+
+
+def test_distribution_check_names_lengths_given_as_a_generator():
+    check = sc.check_distribution(n for n in (3, 4))
+    assert check == ("distribution", True, "n in [3, 4]")
