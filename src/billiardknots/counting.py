@@ -8,6 +8,7 @@ output boundary.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count, islice
 from math import comb
 
 
@@ -24,18 +25,30 @@ def binomial(n: int, k: int) -> int:
 def binomial_lt(n: int, m: int) -> int:
     """Partial row sum C(n,0) + C(n,1) + ... + C(n,m-1); 0 for m <= 0.
 
-    One running pass, C(n, k+1) = C(n, k) * (n - k) / (k + 1), so each term
-    costs a small multiply and divide instead of a fresh binomial.  The
-    small cache serves callers that ask for the same sum for several knots
-    at one length.
+    One running pass along row n (_row_pass), so each term costs a small
+    multiply and divide instead of a fresh binomial.  The small cache
+    serves callers that ask for the same sum for several knots at one
+    length.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    total, term = 0, 1
-    for k in range(min(m, n + 1)):
-        total += term
+    if m <= 0:
+        return 0
+    _, below = next(islice(_row_pass(n), min(m, n + 1), None))
+    return below
+
+
+def _row_pass(n: int):
+    """Yield (C(n, k), C(n, 0) + ... + C(n, k-1)) for k = 0, 1, 2, ...
+
+    C(n, k+1) = C(n, k) * (n - k) / (k + 1); past k = n the term is 0 and
+    the sum stays at 2**n.
+    """
+    term, below = 1, 0
+    for k in count():
+        yield term, below
+        below += term
         term = term * (n - k) // (k + 1)
-    return total
 
 
 def feasible_count(size: int, s: int) -> int:
@@ -93,13 +106,10 @@ def count_full_row(n: int) -> list[int]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = []
-    term, below = 1, 0  # C(n, m) and binomial_lt(n, m)
-    for m in range(n // 3 + 1):
-        row.append(_full_count(m, n - 3 * m, term, below))
-        below += term
-        term = term * (n - m) // (m + 1)
-    return row
+    return [
+        _full_count(m, n - 3 * m, binom, below)
+        for m, (binom, below) in zip(range(n // 3 + 1), _row_pass(n))
+    ]
 
 
 def _full_count(m: int, ell: int, binom: int, below: int) -> int:

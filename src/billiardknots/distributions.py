@@ -12,7 +12,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .counting import count_full, count_full_row
 from .words import UNKNOT_CLASS, KnotClass
@@ -181,20 +180,14 @@ class BetaSummary:
     tail_mass: Fraction
 
 
-def beta_summary(
-    n: int, delta: float = 0.05, pmf: Optional[CrossingPmf] = None
-) -> BetaSummary:
+def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
     """Locate the pmf mode and the exact mass outside the beta +- delta band.
 
     The unknot (crossing number 0) counts toward the tail.  Ties on the
     mode go to the smallest crossing number.  Lengths below 3 carry no
-    crossing mass and have no mode; they are rejected.  A caller that
-    already holds crossing_pmf(n) passes it as pmf to skip recomputing it.
+    crossing mass and have no mode; they are rejected.
     """
-    if pmf is None:
-        pmf = crossing_pmf(n)
-    elif pmf.n != n:
-        raise ValueError(f"pmf is for n={pmf.n}, not n={n}")
+    pmf = crossing_pmf(n)
     if not pmf.masses:
         raise ValueError(f"n={n} has no crossing mass, so the pmf has no mode")
     mode = None

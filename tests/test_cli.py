@@ -1,7 +1,6 @@
 import json
-import sys
 
-from billiardknots import distributions
+from billiardknots import cli, distributions
 from billiardknots.cli import main
 from billiardknots.words import knot_class
 
@@ -74,18 +73,19 @@ def test_length_zero_is_the_unknot(capsys):
 
 def test_prob_prints_exact_fractions_past_the_digit_limit(capsys):
     # 2**14287 has 4301 decimal digits, one more than Python's default limit
-    limit = sys.get_int_max_str_digits()
+    # (cli's own limit accessors, which also run on releases without a limit)
+    limit = cli._get_digit_limit()
     code, out, _ = run(capsys, "prob", "101", "--n", "14287", "--format", "json")
     assert code == 0
-    assert sys.get_int_max_str_digits() == limit  # lifted only inside main
+    assert cli._get_digit_limit() == limit  # lifted only inside main
     printed = json.loads(out)["probability"]
     assert len(printed.split("/")[1]) == 4301
     p = distributions.knot_probability(knot_class("101"), 14287)
-    sys.set_int_max_str_digits(0)
+    cli._set_digit_limit(0)
     try:
         assert printed == str(p)
     finally:
-        sys.set_int_max_str_digits(limit)
+        cli._set_digit_limit(limit)
 
 
 def test_prob_and_rate_guard(capsys, monkeypatch):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from billiardknots import distributions, selfcheck
+from billiardknots import selfcheck
 from billiardknots.counting import binomial, binomial_lt, count_full, count_internal
 from billiardknots.distributions import (
     BETA,
@@ -188,19 +188,6 @@ def test_beta_summary_small():
     assert summary.mode_ratio == pytest.approx(0.5)
     # every outcome is far from beta at n=6, unknot included
     assert summary.tail_mass == 1
-
-
-def test_beta_summary_reuses_a_given_pmf(monkeypatch):
-    pmf = crossing_pmf(40)
-    expected = beta_summary(40, 0.1)
-
-    def never(n):
-        raise AssertionError("crossing_pmf recomputed")
-
-    monkeypatch.setattr(distributions, "crossing_pmf", never)
-    assert beta_summary(40, 0.1, pmf) == expected
-    with pytest.raises(ValueError, match="n=40, not n=43"):
-        beta_summary(43, 0.1, pmf)
 
 
 def test_beta_summary_rejects_lengths_without_crossing_mass():
