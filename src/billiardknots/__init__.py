@@ -4,7 +4,12 @@ Binary words encode the crossing choices of a slope-one billiard trajectory
 on a 3-row table; this package implements the reduction/insertion calculus
 on such words, exact knot and crossing-number distributions, brute-force
 and Monte Carlo cross-validation, and an SVG renderer, all behind one CLI.
+
+Only the sampler needs numpy, whose import is most of a CLI process's
+start-up, so it and its names load on first access (PEP 562).
 """
+
+import importlib
 
 from .counting import (
     binomial,
@@ -50,7 +55,6 @@ from .oracle import (
     tally_terminals,
 )
 from .render import BilliardGeometry, billiard_geometry, render_svg
-from .sampler import SampleReport, sample_pmf, tv_distance
 from .words import (
     CHIRAL,
     MIRROR_IDENTIFIED,
@@ -75,3 +79,14 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+_SAMPLER_NAMES = ("SampleReport", "sample_pmf", "tv_distance")
+
+
+def __getattr__(name):
+    # import_module, not `from . import sampler`: the latter asks this
+    # package for the attribute first and would recurse back here
+    if name == "sampler" or name in _SAMPLER_NAMES:
+        sampler = importlib.import_module(".sampler", __name__)
+        return sampler if name == "sampler" else getattr(sampler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,19 +15,23 @@ import os
 import sys
 from typing import Optional
 
-from . import distributions, insertions, oracle, render, sampler, selfcheck, words
+from . import distributions, insertions, oracle, render, selfcheck, words
 
 _GUARD_ENV = {
     "enum_max_n": "BILLIARDKNOTS_MAX_ENUM_N",  # exact enumeration length
     "ins_max_len": "BILLIARDKNOTS_MAX_WORD_LEN",  # insertion base length
     "ins_max_m": "BILLIARDKNOTS_MAX_INSERTIONS",  # insertion count
     "prob_max_n": "BILLIARDKNOTS_MAX_PROB_N",  # prob/rate length
+    "pmf_max_n": "BILLIARDKNOTS_MAX_PMF_N",  # pmf length
+    "trace_max_len": "BILLIARDKNOTS_MAX_TRACE_LEN",  # trace steps, len(word) + 3m
 }
 _GUARD_DEFAULTS = {
     "enum_max_n": 22,
     "ins_max_len": 8,
     "ins_max_m": 4,
     "prob_max_n": 100_000,
+    "pmf_max_n": 4000,
+    "trace_max_len": 3000,
 }
 
 # Python releases without the int-to-str digit limit (3.10.6 and older)
@@ -106,18 +110,22 @@ def _cmd_class(args, guards) -> None:
     _emit(args, cls.to_json(), text)
 
 
-def _probability_length(args, guards) -> None:
-    """Reject invalid lengths (exit 2), then lengths above the prob/rate guard."""
-    distributions.check_length(args.n)
-    if args.n > guards["prob_max_n"]:
+def _check_guard(label: str, value: int, limit: int, command: str) -> None:
+    if value > limit:
         raise oracle.ResourceGuardError(
-            f"n={args.n} exceeds the prob/rate guard {guards['prob_max_n']}"
+            f"{label}={value} exceeds the {command} guard {limit}"
         )
+
+
+def _check_length(n: int, limit: int, command: str) -> None:
+    """Reject invalid lengths (exit 2), then lengths above the command's guard."""
+    distributions.check_length(n)
+    _check_guard("n", n, limit, command)
 
 
 def _cmd_prob(args, guards) -> None:
     cls = words.knot_class(args.word, _mode(args))
-    _probability_length(args, guards)
+    _check_length(args.n, guards["prob_max_n"], "prob/rate")
     p = distributions.knot_probability(cls, args.n)
     payload = {"word": args.word, "n": args.n, "canonical": cls.canonical,
                "probability": str(p), "float": float(p)}
@@ -125,6 +133,7 @@ def _cmd_prob(args, guards) -> None:
 
 
 def _cmd_pmf(args, guards) -> None:
+    _check_length(args.n, guards["pmf_max_n"], "pmf")
     pmf = distributions.crossing_pmf(args.n)
     lines = [f"c=0 (unknot): {pmf.unknot_mass} = {float(pmf.unknot_mass):.6g}"]
     for c in sorted(pmf.masses):
@@ -136,7 +145,7 @@ def _cmd_pmf(args, guards) -> None:
 
 def _cmd_rate(args, guards) -> None:
     cls = words.knot_class(args.word, _mode(args))
-    _probability_length(args, guards)
+    _check_length(args.n, guards["prob_max_n"], "prob/rate")
     report = distributions.alpha_rate(cls, args.n)
     payload = {"word": args.word, "n": report.n, "log2_rate": report.log2_rate,
                "target": report.target, "gap": report.gap}
@@ -176,6 +185,10 @@ def _cmd_insertions(args, guards) -> None:
 
 def _cmd_trace(args, guards) -> None:
     locs = tuple(int(x) for x in args.locations.split(",") if x.strip() != "")
+    words.check_word(args.word)  # an invalid word exits 2 before the guard
+    # one stack string per step: memory and output grow as the square
+    _check_guard("len(word) + 3m", len(args.word) + 3 * args.m,
+                 guards["trace_max_len"], "trace")
     trace = insertions.reconstruct(args.word, args.m, locs)
     width = max(len(s.stack) for s in trace.steps) if trace.steps else 1
     lines = [f"{'i':>3} | L | {'word':<{len(trace.steps)}} | stack"]
@@ -190,6 +203,8 @@ def _cmd_trace(args, guards) -> None:
 
 
 def _cmd_sample(args, guards) -> None:
+    from . import sampler  # numpy: only this command pays its import
+
     exact = None
     if args.n <= _SAMPLE_EXACT_LIMIT:
         exact = distributions.crossing_pmf(args.n)
@@ -290,7 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="split the count over this many Philox substreams; they "
+                        "run one after another, so the report is reproducible "
+                        "for a given (n, count, seed, workers), with no "
+                        "parallel speed-up")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("render", parents=[common],

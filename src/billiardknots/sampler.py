@@ -73,7 +73,10 @@ def sample_pmf(
 
     The count is split across workers (earlier workers take the remainder);
     each worker consumes its own Philox substream, so any scheduling of the
-    workers reproduces the same report bit for bit.
+    workers reproduces the same report bit for bit.  The substreams run one
+    after another in this process, so `workers` gives no parallel speed-up;
+    it is there so that a report is reproducible for a given
+    (n, count, seed, workers).
     """
     check_length(n)
     if count < 0:

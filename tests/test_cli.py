@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
-from billiardknots import cli, distributions
+from billiardknots import cli, distributions, insertions
 from billiardknots.cli import main
 from billiardknots.words import knot_class
 
@@ -105,6 +110,48 @@ def test_prob_and_rate_guard(capsys, monkeypatch):
         monkeypatch.delenv("BILLIARDKNOTS_MAX_PROB_N")
 
 
+def test_pmf_guard(capsys, monkeypatch):
+    real = distributions.crossing_pmf
+
+    def small_only(n):
+        assert n <= 9, f"crossing_pmf ran at n={n}"
+        return real(n)
+
+    monkeypatch.setattr(distributions, "crossing_pmf", small_only)
+    code, out, err = run(capsys, "pmf", "--n", "4003")
+    assert code == 3
+    assert out == "" and "n=4003 exceeds the pmf guard 4000" in err
+    code, _, _ = run(capsys, "pmf", "--n", "4004")  # invalid length first
+    assert code == 2
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_PMF_N", "9")
+    code, _, err = run(capsys, "pmf", "--n", "10")
+    assert code == 3 and "n=10 exceeds the pmf guard 9" in err
+    code, out, _ = run(capsys, "pmf", "--n", "9")
+    assert code == 0 and out.startswith("c=0 (unknot)")
+
+
+def test_trace_guard(capsys, monkeypatch):
+    real = insertions.reconstruct
+
+    def small_only(w, m, locations):
+        assert len(w) + 3 * m <= 9, f"reconstruct ran at m={m}"
+        return real(w, m, locations)
+
+    monkeypatch.setattr(insertions, "reconstruct", small_only)
+    code, out, err = run(capsys, "trace", "101", "--m", "1000")
+    assert code == 3
+    assert out == "" and "len(word) + 3m=3003 exceeds the trace guard 3000" in err
+    code, _, _ = run(capsys, "trace", "10x", "--m", "1000")  # invalid word first
+    assert code == 2
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_TRACE_LEN", "8")
+    argv = ("trace", "101", "--m", "2", "--locations", "1,5")
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "=9 exceeds the trace guard 8" in err
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_TRACE_LEN", "9")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "success 000111101" in out
+
+
 def test_rate_command(capsys):
     code, out, _ = run(capsys, "rate", "--word", "101", "--n", "99", "--format", "json")
     assert code == 0
@@ -194,3 +241,54 @@ def test_invalid_word_is_exit_2(capsys):
     code, _, err = run(capsys, "reduce", "10x")
     assert code == 2
     assert "error" in err
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's billiardknots."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+def test_only_the_sampler_loads_numpy(tmp_path):
+    # a fresh interpreter: other tests in this process import the sampler
+    script = textwrap.dedent("""
+        import sys
+        from billiardknots.cli import main
+
+        for argv in (
+            ["reduce", "100001001110"],
+            ["moves", "10100"],
+            ["class", "101"],
+            ["prob", "101", "--n", "6"],
+            ["rate", "--word", "101", "--n", "99"],
+            ["pmf", "--n", "6"],
+            ["enumerate", "--n", "7"],
+            ["insertions", "101", "--m", "1"],
+            ["trace", "101", "--m", "2", "--locations", "1,5"],
+            ["render", "101", "--out", sys.argv[1]],
+            ["selfcheck"],
+        ):
+            assert main(argv) == 0, argv
+            assert "numpy" not in sys.modules, argv
+
+        from billiardknots import SampleReport, sample_pmf, tv_distance
+        assert "numpy" in sys.modules
+
+        import billiardknots
+        try:
+            billiardknots.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("billiardknots.no_such_name resolved")
+    """)
+    done = run_python("-c", script, str(tmp_path / "trefoil.svg"))
+    assert done.returncode == 0, done.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "billiardknots", "reduce", "100001001110")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "101\n"
