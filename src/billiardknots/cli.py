@@ -24,14 +24,16 @@ _GUARD_ENV = {
     "prob_max_n": "BILLIARDKNOTS_MAX_PROB_N",  # prob/rate length
     "pmf_max_n": "BILLIARDKNOTS_MAX_PMF_N",  # pmf length
     "trace_max_len": "BILLIARDKNOTS_MAX_TRACE_LEN",  # trace steps, len(word) + 3m
+    "sample_max_letters": "BILLIARDKNOTS_MAX_SAMPLE_LETTERS",  # sample letters drawn
 }
 _GUARD_DEFAULTS = {
-    "enum_max_n": 22,
+    "enum_max_n": 16,
     "ins_max_len": 8,
     "ins_max_m": 4,
     "prob_max_n": 100_000,
     "pmf_max_n": 4000,
     "trace_max_len": 3000,
+    "sample_max_letters": 50_000_000,
 }
 
 # Python releases without the int-to-str digit limit (3.10.6 and older)
@@ -205,6 +207,12 @@ def _cmd_trace(args, guards) -> None:
 def _cmd_sample(args, guards) -> None:
     from . import sampler  # numpy: only this command pays its import
 
+    distributions.check_length(args.n)  # an invalid length exits 2 before the guard
+    # a step of the lockstep walk over the n letter columns has a fixed cost
+    # near that of a thousand words, so a small count is counted as a batch
+    _check_guard(f"n * max(count, {sampler._BATCH})",
+                 args.n * max(args.count, sampler._BATCH),
+                 guards["sample_max_letters"], "sample")
     exact = None
     if args.n <= _SAMPLE_EXACT_LIMIT:
         exact = distributions.crossing_pmf(args.n)

@@ -10,6 +10,7 @@ package, not forced by the diagrams themselves.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,44 +59,31 @@ def _trace(width: int) -> list[tuple[int, int]]:
             dy = -dy
 
 
-def _intersection(seg_a, seg_b):
-    """Interior intersection point of two unit-slope segments, or None."""
-    (ax1, ay1), (ax2, ay2) = seg_a
-    (bx1, by1), (bx2, by2) = seg_b
-    slope_a = 1 if (ax2 - ax1) * (ay2 - ay1) > 0 else -1
-    slope_b = 1 if (bx2 - bx1) * (by2 - by1) > 0 else -1
-    if slope_a == slope_b:
-        return None
-    if slope_a == -1:
-        seg_a, seg_b = seg_b, seg_a
-        (ax1, ay1), (ax2, ay2) = seg_a
-        (bx1, by1), (bx2, by2) = seg_b
-    # seg_a: y = x + ca; seg_b: y = -x + cb
-    ca = ay1 - ax1
-    cb = by1 + bx1
-    doubled_x = cb - ca
-    if doubled_x % 2:
-        return None  # half-integer meeting point: strands touch corners only
-    x, y = doubled_x // 2, (cb + ca) // 2
-    if min(ax1, ax2) < x < max(ax1, ax2) and min(bx1, bx2) < x < max(bx1, bx2):
-        return (x, y)
-    return None
+def _interior_points(vertices):
+    """(x, y, segment index) at each integer x strictly inside each segment.
+
+    The segments have slope +1 or -1 between lattice points, so these are
+    all the lattice points the trajectory passes away from its bounces.
+    """
+    for index, ((x1, y1), (x2, y2)) in enumerate(zip(vertices, vertices[1:])):
+        step = 1 if x2 > x1 else -1
+        slope = (y2 - y1) // (x2 - x1)
+        for x in range(x1 + step, x2, step):
+            yield x, y1 + slope * (x - x1), index
 
 
 def billiard_geometry(n: int) -> BilliardGeometry:
-    """Geometry for a word of length n, which must be 0 or 1 mod 3 and >= 1."""
+    """Geometry for a word of length n, which must be 0 or 1 mod 3 and >= 1.
+
+    A crossing is a lattice point that two strands pass through; the
+    trajectory is read off once, in time linear in n.
+    """
     if n < 1 or n % 3 == 2:
         raise ValueError(f"invalid length {n}: need n >= 1 with n = 0 or 1 mod 3")
     width = n + 1
     vertices = _trace(width)
-    segments = list(zip(vertices, vertices[1:]))
-    points = set()
-    for i in range(len(segments)):
-        for j in range(i + 1, len(segments)):
-            pt = _intersection(segments[i], segments[j])
-            if pt is not None:
-                points.add(pt)
-    crossings = tuple(sorted(points))
+    strands = Counter((x, y) for x, y, _ in _interior_points(vertices))
+    crossings = tuple(sorted(point for point, k in strands.items() if k > 1))
     if len(crossings) != n or [p[0] for p in crossings] != list(range(1, n + 1)):
         raise AssertionError(f"unexpected crossing layout for n={n}: {crossings}")
     return BilliardGeometry(width, tuple(vertices), crossings)
@@ -129,18 +117,18 @@ def render_svg(w: Word, flip_crossings: bool = False) -> str:
     geometry = billiard_geometry(n)
 
     # gaps to cut, per segment index: list of (x_low, x_high) in table units
+    through: dict[tuple[int, int], list[int]] = {}
+    for x, y, seg_index in _interior_points(geometry.vertices):
+        through.setdefault((x, y), []).append(seg_index)
+    segments = geometry.segments
     gaps: dict[int, list[tuple[Fraction, Fraction]]] = {}
     for idx, (x, y) in enumerate(geometry.crossings):
         over_positive = w[idx] == "1"
         if flip_crossings:
             over_positive = not over_positive
-        for seg_index, ((x1, y1), (x2, y2)) in enumerate(geometry.segments):
-            if not (min(x1, x2) < x < max(x1, x2)):
-                continue
+        for seg_index in through[(x, y)]:
+            (x1, y1), (x2, y2) = segments[seg_index]
             slope = 1 if (x2 - x1) * (y2 - y1) > 0 else -1
-            on_line = (y - y1) == slope * (x - x1)
-            if not on_line:
-                continue
             if (slope == 1) != over_positive:
                 gaps.setdefault(seg_index, []).append((x - _GAP, x + _GAP))
 

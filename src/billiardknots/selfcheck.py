@@ -30,6 +30,30 @@ def check_reduce_engines(max_n: int) -> Check:
     return ("reduce-engines", True, f"all words up to length {max_n}")
 
 
+def check_sampler_crossings(max_n: int) -> Check:
+    """The sampler's lockstep batch reduction gives words.crossing_number on
+    every word up to length max_n and on 100 random words of each length up
+    to 60, drawn from seed 0."""
+    import numpy as np  # only the sampler and its check load numpy
+
+    from . import sampler
+
+    batches = [
+        np.array([list(map(int, w)) for w in oracle.all_words(n)], dtype=np.uint8)
+        for n in range(max_n + 1)
+    ]
+    rng = np.random.default_rng(0)
+    batches += [rng.integers(0, 2, size=(100, n), dtype=np.uint8) for n in range(1, 61)]
+    for rows in batches:
+        for row, got in zip(rows, sampler.row_crossings(rows).tolist()):
+            w = "".join(map(str, row.tolist()))
+            if got != words.crossing_number(w):
+                detail = f"{w!r}: {got} != {words.crossing_number(w)}"
+                return ("sampler-crossings", False, detail)
+    return ("sampler-crossings", True, f"all words up to length {max_n}, "
+            "100 random words of each length up to 60")
+
+
 def check_confluence(max_n: int) -> Check:
     """Every move order reaches one terminal (or only unknot leftovers),
     and words.reduce reaches one of them."""

@@ -5,7 +5,7 @@ import sys
 import textwrap
 from pathlib import Path
 
-from billiardknots import cli, distributions, insertions
+from billiardknots import cli, distributions, insertions, sampler
 from billiardknots.cli import main
 from billiardknots.words import knot_class
 
@@ -152,6 +152,34 @@ def test_trace_guard(capsys, monkeypatch):
     assert code == 0 and "success 000111101" in out
 
 
+def test_sample_guard(capsys, monkeypatch):
+    real = sampler.sample_pmf
+
+    def small_only(n, count, seed, workers=1, exact=None):
+        assert n * count <= 3 * 4096, f"sample_pmf ran at n={n}, count={count}"
+        return real(n, count, seed, workers=workers, exact=exact)
+
+    monkeypatch.setattr(sampler, "sample_pmf", small_only)
+    code, out, err = run(capsys, "sample", "--n", "300", "--count", "166667",
+                         "--seed", "1")
+    assert code == 3
+    assert out == "" and (
+        "n * max(count, 4096)=50000100 exceeds the sample guard 50000000" in err)
+    # a few words of a long length count as one full batch
+    code, _, err = run(capsys, "sample", "--n", "12208", "--count", "1", "--seed", "1")
+    assert code == 3 and "=50003968 exceeds" in err
+    code, _, _ = run(capsys, "sample", "--n", "302", "--count", "10000000",
+                     "--seed", "1")
+    assert code == 2  # invalid length first
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_SAMPLE_LETTERS", "12287")
+    argv = ("sample", "--n", "3", "--count", "4000", "--seed", "1")
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "=12288 exceeds the sample guard 12287" in err
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_SAMPLE_LETTERS", "12288")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("n=3 count=4000 seed=1")
+
+
 def test_rate_command(capsys):
     code, out, _ = run(capsys, "rate", "--word", "101", "--n", "99", "--format", "json")
     assert code == 0
@@ -168,6 +196,9 @@ def test_enumerate_command(capsys):
 
 
 def test_enumerate_guard_env(capsys, monkeypatch):
+    code, out, err = run(capsys, "enumerate", "--n", "18")
+    assert code == 3  # the guard trips before any word is enumerated
+    assert out == "" and "n=18 exceeds the enumeration guard 16" in err
     monkeypatch.setenv("BILLIARDKNOTS_MAX_ENUM_N", "3")
     code, _, err = run(capsys, "enumerate", "--n", "4")
     assert code == 3

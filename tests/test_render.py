@@ -7,6 +7,44 @@ from billiardknots.render import billiard_geometry, render_svg
 VALID_LENGTHS = [n for n in range(1, 51) if n % 3 != 2]
 
 
+def _intersection(seg_a, seg_b):
+    """Interior intersection point of two unit-slope segments, or None."""
+    (ax1, ay1), (ax2, ay2) = seg_a
+    (bx1, by1), (bx2, by2) = seg_b
+    slope_a = 1 if (ax2 - ax1) * (ay2 - ay1) > 0 else -1
+    slope_b = 1 if (bx2 - bx1) * (by2 - by1) > 0 else -1
+    if slope_a == slope_b:
+        return None
+    if slope_a == -1:
+        seg_a, seg_b = seg_b, seg_a
+        (ax1, ay1), (ax2, ay2) = seg_a
+        (bx1, by1), (bx2, by2) = seg_b
+    # seg_a: y = x + ca; seg_b: y = -x + cb
+    ca = ay1 - ax1
+    cb = by1 + bx1
+    doubled_x = cb - ca
+    if doubled_x % 2:
+        return None  # half-integer meeting point: strands touch corners only
+    x, y = doubled_x // 2, (cb + ca) // 2
+    if min(ax1, ax2) < x < max(ax1, ax2) and min(bx1, bx2) < x < max(bx1, bx2):
+        return (x, y)
+    return None
+
+
+def test_crossings_match_the_pairwise_segment_search():
+    # the reference tests every pair of segments, in time quadratic in n
+    for n in (n for n in range(1, 101) if n % 3 != 2):
+        geom = billiard_geometry(n)
+        segments = geom.segments
+        points = {
+            pt
+            for i, a in enumerate(segments)
+            for b in segments[i + 1 :]
+            if (pt := _intersection(a, b)) is not None
+        }
+        assert geom.crossings == tuple(sorted(points)), n
+
+
 def test_trefoil_geometry():
     geom = billiard_geometry(3)
     assert geom.width == 4

@@ -2,12 +2,18 @@ import pytest
 
 from billiardknots.distributions import BETA, crossing_pmf
 from billiardknots.sampler import sample_pmf, tv_distance
+from billiardknots.selfcheck import check_sampler_crossings
 
 
 def test_tv_distance_basics():
     assert tv_distance({"a": 1.0}, {"a": 1.0}) == 0
     assert tv_distance({"a": 1.0}, {"b": 1.0}) == 1
     assert tv_distance({0: 0.5, 3: 0.5}, {0: 0.75, 3: 0.25}) == pytest.approx(0.25)
+
+
+def test_batch_reduction_matches_words_crossing_number():
+    name, ok, detail = check_sampler_crossings(14)
+    assert ok, detail
 
 
 def test_empty_report_is_valid():
@@ -23,6 +29,41 @@ def test_determinism_is_bitwise():
     assert a == b
     c = sample_pmf(12, 3000, seed=100)
     assert a != c
+
+
+# Reports recorded from the per-word reduction that preceded the lockstep
+# batch reduction: a changed stream or a changed reduction shows here.
+# (30, 5000, 4, 1) spans two 4096-word batches; 1001 and 1000 are not
+# multiples of their worker counts.
+PINNED = {
+    (0, 10, 1, 1): {0: 10},
+    (1, 50, 2, 1): {0: 50},
+    (3, 1001, 3, 2): {0: 762, 3: 239},
+    (30, 5000, 4, 1): {
+        0: 362, 3: 324, 4: 123, 5: 370, 6: 292, 7: 428, 8: 372, 9: 420,
+        10: 409, 11: 393, 12: 335, 13: 265, 14: 250, 15: 210, 16: 154,
+        17: 113, 18: 72, 19: 45, 20: 28, 21: 21, 22: 6, 23: 4, 24: 3, 26: 1,
+    },
+    (30, 1000, 5, 3): {
+        0: 81, 3: 67, 4: 39, 5: 69, 6: 50, 7: 88, 8: 74, 9: 79, 10: 94,
+        11: 68, 12: 69, 13: 59, 14: 47, 15: 31, 16: 30, 17: 22, 18: 9,
+        19: 10, 20: 7, 21: 5, 22: 2,
+    },
+    (300, 40, 6, 3): {
+        48: 1, 71: 2, 72: 1, 75: 1, 81: 1, 82: 1, 83: 2, 84: 1, 85: 2,
+        89: 1, 91: 1, 92: 1, 93: 1, 94: 2, 95: 1, 96: 1, 97: 1, 98: 6,
+        101: 4, 102: 1, 103: 1, 104: 1, 106: 1, 107: 2, 108: 1, 109: 1,
+        127: 1,
+    },
+}
+
+
+@pytest.mark.parametrize("key", PINNED)
+def test_reports_match_the_pinned_counts(key):
+    n, count, seed, workers = key
+    report = sample_pmf(n, count, seed, workers)
+    assert report.counts == PINNED[key]
+    assert all(type(c) is int and type(k) is int for c, k in report.counts.items())
 
 
 def test_workers_change_the_stream_but_stay_deterministic():

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from billiardknots import counting, distributions, insertions, oracle, words
+from billiardknots import counting, distributions, insertions, oracle, sampler, words
 from billiardknots import selfcheck as sc
 from billiardknots.cli import main
 
@@ -16,10 +16,16 @@ from billiardknots.cli import main
 binomial_lt, count_full = counting.binomial_lt, counting.count_full
 count_internal, count_full_row = counting.count_internal, counting.count_full_row
 knot_class = words.knot_class
+external_moves = sampler._external_moves
 
 
 def _bump_first(row):  # one wrong entry, the count that feeds the mass at c = n
     return [row[0] + 1, *row[1:]]
+
+
+def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
+    if step == 1:
+        external_moves(stack, first, last, step)
 
 
 PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
@@ -49,6 +55,8 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
      lambda n: _bump_first(count_full_row(n))),
     (lambda: sc.check_count_full_row(12), counting, "count_full",
      lambda m, ell: count_full(m, ell) + (m == 2)),
+    (lambda: sc.check_sampler_crossings(6), sampler, "_external_moves",
+     _prefix_moves_only),
     (lambda: sc.check_class_invariance(2), words, "knot_class",
      lambda w: knot_class(w if len(w) < 9 else w[3:])),
     (lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
