@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when a selfcheck check fails, 2 on invalid
 input, 3 when a resource guard trips.  Resource guards can be overridden
-with environment variables (see _GUARD_ENV below; non-integer or negative
+with environment variables (see _GUARDS below; non-integer or negative
 values exit 2).
 """
 
@@ -17,23 +17,17 @@ from typing import Optional
 
 from . import distributions, insertions, oracle, render, selfcheck, words
 
-_GUARD_ENV = {
-    "enum_max_n": "BILLIARDKNOTS_MAX_ENUM_N",  # exact enumeration length
-    "ins_max_len": "BILLIARDKNOTS_MAX_WORD_LEN",  # insertion base length
-    "ins_max_m": "BILLIARDKNOTS_MAX_INSERTIONS",  # insertion count
-    "prob_max_n": "BILLIARDKNOTS_MAX_PROB_N",  # prob/rate length
-    "pmf_max_n": "BILLIARDKNOTS_MAX_PMF_N",  # pmf length
-    "trace_max_len": "BILLIARDKNOTS_MAX_TRACE_LEN",  # trace steps, len(word) + 3m
-    "sample_max_letters": "BILLIARDKNOTS_MAX_SAMPLE_LETTERS",  # sample letters drawn
-}
-_GUARD_DEFAULTS = {
-    "enum_max_n": 16,
-    "ins_max_len": 8,
-    "ins_max_m": 4,
-    "prob_max_n": 100_000,
-    "pmf_max_n": 4000,
-    "trace_max_len": 3000,
-    "sample_max_letters": 50_000_000,
+# guard key -> (environment variable, default)
+_GUARDS = {
+    "enum_max_n": ("BILLIARDKNOTS_MAX_ENUM_N", 16),  # exact enumeration length
+    "ins_max_len": ("BILLIARDKNOTS_MAX_WORD_LEN", 8),  # insertion base length
+    "ins_max_m": ("BILLIARDKNOTS_MAX_INSERTIONS", 4),  # insertion count
+    "prob_max_n": ("BILLIARDKNOTS_MAX_PROB_N", 100_000),  # prob/rate length
+    "pmf_max_n": ("BILLIARDKNOTS_MAX_PMF_N", 4000),  # pmf length
+    # trace steps, len(word) + 3m
+    "trace_max_len": ("BILLIARDKNOTS_MAX_TRACE_LEN", 3000),
+    # sample letters drawn, plus a charge per extra worker
+    "sample_max_letters": ("BILLIARDKNOTS_MAX_SAMPLE_LETTERS", 50_000_000),
 }
 
 # Python releases without the int-to-str digit limit (3.10.6 and older)
@@ -43,19 +37,22 @@ _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 # exact pmf is cheap enough below this length to compute alongside a sample
 _SAMPLE_EXACT_LIMIT = 60
+# each drawing worker builds its own Philox generator, about 28 us on a
+# 2-vCPU machine: the time sample_pmf takes to draw and reduce some 1500
+# letters at n = 300 (18.5 ns a letter)
+_SAMPLE_WORKER_LETTERS = 1500
 
 
 def _guards() -> dict[str, int]:
-    values = dict(_GUARD_DEFAULTS)
-    for key, env in _GUARD_ENV.items():
-        raw = os.environ.get(env)
-        if raw is not None:
-            try:
-                values[key] = int(raw)
-            except ValueError:
-                raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-            if values[key] < 0:
-                raise ValueError(f"{env} must be nonnegative, got {raw!r}")
+    values = {}
+    for key, (env, default) in _GUARDS.items():
+        raw = os.environ.get(env, str(default))
+        try:
+            values[key] = int(raw)
+        except ValueError:
+            raise ValueError(f"{env} must be an integer, got {raw!r}") from None
+        if values[key] < 0:
+            raise ValueError(f"{env} must be nonnegative, got {raw!r}")
     return values
 
 
@@ -210,9 +207,13 @@ def _cmd_sample(args, guards) -> None:
     distributions.check_length(args.n)  # an invalid length exits 2 before the guard
     # a step of the lockstep walk over the n letter columns has a fixed cost
     # near that of a thousand words, so a small count is counted as a batch
-    _check_guard(f"n * max(count, {sampler._BATCH})",
-                 args.n * max(args.count, sampler._BATCH),
-                 guards["sample_max_letters"], "sample")
+    label = f"n * max(count, {sampler._BATCH})"
+    letters = args.n * max(args.count, sampler._BATCH)
+    drawing = min(args.workers, args.count)
+    if drawing > 1:  # the batch already pays for the first worker
+        label += f" + {_SAMPLE_WORKER_LETTERS} * (min(workers, count) - 1)"
+        letters += _SAMPLE_WORKER_LETTERS * (drawing - 1)
+    _check_guard(label, letters, guards["sample_max_letters"], "sample")
     exact = None
     if args.n <= _SAMPLE_EXACT_LIMIT:
         exact = distributions.crossing_pmf(args.n)
@@ -345,10 +346,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _set_digit_limit(0)
     try:
         return args.func(args, _guards()) or 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except oracle.ResourceGuardError as exc:

@@ -6,21 +6,23 @@ left to right, carry the letters of the word: by default a '1' puts the
 positive-slope strand on top, and --flip-crossings inverts that.  The
 mapping of letter values to crossing states is a convention of this
 package, not forced by the diagrams themselves.
+
+Every coordinate is a whole pixel: the table point (x, y) is drawn at
+(40x + 60, 180 - 40y), and an under-strand stops 8 px either side of its
+crossing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .words import Word, check_word
 
 TABLE_HEIGHT = 3
 
-_GAP = Fraction(1, 5)  # half-width of the underpass gap, in table units
+_GAP = 8  # half-width of the underpass gap, in pixels
 _SCALE = 40  # pixels per table unit
-_MARGIN = Fraction(3, 2)  # padding around the table, in table units
+_MARGIN = 60  # padding around the table, in pixels
 
 
 @dataclass(frozen=True)
@@ -30,10 +32,6 @@ class BilliardGeometry:
     width: int  # table width b = n + 1
     vertices: tuple[tuple[int, int], ...]  # bounce points, in travel order
     crossings: tuple[tuple[int, int], ...]  # ordered by increasing x
-
-    @property
-    def height(self) -> int:
-        return TABLE_HEIGHT
 
     @property
     def segments(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
@@ -72,8 +70,10 @@ def _interior_points(vertices):
             yield x, y1 + slope * (x - x1), index
 
 
-def billiard_geometry(n: int) -> BilliardGeometry:
-    """Geometry for a word of length n, which must be 0 or 1 mod 3 and >= 1.
+def _geometry_and_strands(
+    n: int,
+) -> tuple[BilliardGeometry, dict[tuple[int, int], list[int]]]:
+    """The geometry for length n, and the segment indices through each point.
 
     A crossing is a lattice point that two strands pass through; the
     trajectory is read off once, in time linear in n.
@@ -82,27 +82,36 @@ def billiard_geometry(n: int) -> BilliardGeometry:
         raise ValueError(f"invalid length {n}: need n >= 1 with n = 0 or 1 mod 3")
     width = n + 1
     vertices = _trace(width)
-    strands = Counter((x, y) for x, y, _ in _interior_points(vertices))
-    crossings = tuple(sorted(point for point, k in strands.items() if k > 1))
+    through: dict[tuple[int, int], list[int]] = {}
+    for x, y, index in _interior_points(vertices):
+        through.setdefault((x, y), []).append(index)
+    crossings = tuple(sorted(p for p, strands in through.items() if len(strands) > 1))
     if len(crossings) != n or [p[0] for p in crossings] != list(range(1, n + 1)):
         raise AssertionError(f"unexpected crossing layout for n={n}: {crossings}")
-    return BilliardGeometry(width, tuple(vertices), crossings)
+    return BilliardGeometry(width, tuple(vertices), crossings), through
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.2f}"
+def billiard_geometry(n: int) -> BilliardGeometry:
+    """Geometry for a word of length n, which must be 0 or 1 mod 3 and >= 1."""
+    return _geometry_and_strands(n)[0]
 
 
-def _closure_points(geometry: BilliardGeometry) -> list[tuple]:
+def _pixel(x: int, y: int) -> tuple[int, int]:
+    return x * _SCALE + _MARGIN, (TABLE_HEIGHT - y) * _SCALE + _MARGIN
+
+
+def _line(cls: str, x1: int, y1: int, x2: int, y2: int) -> str:
+    return f'<line class="{cls}" x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}"/>'
+
+
+def _closure_points(geometry: BilliardGeometry) -> list[tuple[int, int]]:
     end = geometry.vertices[-1]
     w = geometry.width
-    out = Fraction(1)
     if end == (w, TABLE_HEIGHT):
-        route = [end, (w + out, TABLE_HEIGHT + out), (w + out, -out)]
+        route = [end, (w + 1, TABLE_HEIGHT + 1), (w + 1, -1)]
     else:
-        route = [end, (w + out, -out)]
-    route += [(-out, -out), (0, 0)]
-    return route
+        route = [end, (w + 1, -1)]
+    return route + [(-1, -1), (0, 0)]
 
 
 def render_svg(w: Word, flip_crossings: bool = False) -> str:
@@ -113,76 +122,46 @@ def render_svg(w: Word, flip_crossings: bool = False) -> str:
     endpoints, is drawn as solid polylines.
     """
     check_word(w)
-    n = len(w)
-    geometry = billiard_geometry(n)
-
-    # gaps to cut, per segment index: list of (x_low, x_high) in table units
-    through: dict[tuple[int, int], list[int]] = {}
-    for x, y, seg_index in _interior_points(geometry.vertices):
-        through.setdefault((x, y), []).append(seg_index)
+    geometry, through = _geometry_and_strands(len(w))
     segments = geometry.segments
-    gaps: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for idx, (x, y) in enumerate(geometry.crossings):
-        over_positive = w[idx] == "1"
-        if flip_crossings:
-            over_positive = not over_positive
-        for seg_index in through[(x, y)]:
-            (x1, y1), (x2, y2) = segments[seg_index]
-            slope = 1 if (x2 - x1) * (y2 - y1) > 0 else -1
-            if (slope == 1) != over_positive:
-                gaps.setdefault(seg_index, []).append((x - _GAP, x + _GAP))
+    rising = [(x2 - x1) * (y2 - y1) > 0 for (x1, y1), (x2, y2) in segments]
 
-    def svg_xy(x, y) -> tuple[str, str]:
-        px = (Fraction(x) + _MARGIN) * _SCALE
-        py = (Fraction(TABLE_HEIGHT) - Fraction(y) + _MARGIN) * _SCALE
-        return _fmt(px), _fmt(py)
+    # the x of each crossing a segment dives under, in increasing order
+    cuts: dict[int, list[int]] = {}
+    for letter, (x, y) in zip(w, geometry.crossings):
+        over_rising = (letter == "1") != flip_crossings
+        for index in through[(x, y)]:
+            if rising[index] != over_rising:
+                cuts.setdefault(index, []).append(x)
 
-    def line(p, q, cls) -> str:
-        (x1, y1), (x2, y2) = p, q
-        sx1, sy1 = svg_xy(x1, y1)
-        sx2, sy2 = svg_xy(x2, y2)
-        return (
-            f'<line class="{cls}" x1="{sx1}" y1="{sy1}" x2="{sx2}" y2="{sy2}"/>'
-        )
+    body = [_line("grid", *_pixel(gx, 0), *_pixel(gx, TABLE_HEIGHT))
+            for gx in range(geometry.width + 1)]
+    body += [_line("grid", *_pixel(0, gy), *_pixel(geometry.width, gy))
+             for gy in range(TABLE_HEIGHT + 1)]
 
-    body = []
-    # light grid
-    for gx in range(geometry.width + 1):
-        body.append(line((gx, 0), (gx, TABLE_HEIGHT), "grid"))
-    for gy in range(TABLE_HEIGHT + 1):
-        body.append(line((0, gy), (geometry.width, gy), "grid"))
+    # trajectory, drawn left to right in pieces split where it dives under
+    for index, segment in enumerate(segments):
+        (left, left_y), (right, _) = sorted(_pixel(x, y) for x, y in segment)
+        slope = -1 if rising[index] else 1  # pixel y grows downwards
+        stops = [left]
+        for x in cuts.get(index, ()):
+            centre = x * _SCALE + _MARGIN
+            stops += (centre - _GAP, centre + _GAP)
+        stops.append(right)
+        for a, b in zip(stops[::2], stops[1::2]):
+            body.append(_line("strand", a, left_y + slope * (a - left),
+                              b, left_y + slope * (b - left)))
 
-    # trajectory, gap-split where it dives under
-    for seg_index, ((x1, y1), (x2, y2)) in enumerate(geometry.segments):
-        slope = 1 if (x2 - x1) * (y2 - y1) > 0 else -1
-        lo, hi = min(x1, x2), max(x1, x2)
-
-        def y_at(x, y0=y1, x0=x1, s=slope):
-            return y0 + s * (x - x0)
-
-        cuts = sorted(gaps.get(seg_index, []))
-        cursor = Fraction(lo)
-        pieces = []
-        for g_lo, g_hi in cuts:
-            pieces.append((cursor, max(cursor, g_lo)))
-            cursor = min(Fraction(hi), g_hi)
-        pieces.append((cursor, Fraction(hi)))
-        for p_lo, p_hi in pieces:
-            if p_hi > p_lo:
-                body.append(
-                    line((p_lo, y_at(p_lo)), (p_hi, y_at(p_hi)), "strand")
-                )
-
-    closure = _closure_points(geometry)
+    closure = [_pixel(x, y) for x, y in _closure_points(geometry)]
     for p, q in zip(closure, closure[1:]):
-        body.append(line(p, q, "strand"))
+        body.append(_line("strand", *p, *q))
 
-    view_w = _fmt((geometry.width + 2 * _MARGIN) * _SCALE)
-    view_h = _fmt((TABLE_HEIGHT + 2 * _MARGIN) * _SCALE)
+    view_w = geometry.width * _SCALE + 2 * _MARGIN
+    view_h = TABLE_HEIGHT * _SCALE + 2 * _MARGIN
     head = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{view_w}" '
-        f'height="{view_h}" viewBox="0 0 {view_w} {view_h}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{view_w:.2f}" '
+        f'height="{view_h:.2f}" viewBox="0 0 {view_w:.2f} {view_h:.2f}">\n'
         "<style>\n"
         ".grid { stroke: #cccccc; stroke-width: 1; }\n"
         ".strand { stroke: #000000; stroke-width: 4; stroke-linecap: round; }\n"

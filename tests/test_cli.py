@@ -180,6 +180,34 @@ def test_sample_guard(capsys, monkeypatch):
     assert code == 0 and out.startswith("n=3 count=4000 seed=1")
 
 
+def test_sample_guard_charges_workers(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_pmf ran past the guard")
+
+    argv = ("sample", "--n", "3", "--count", "10000000", "--workers", "10000000",
+            "--seed", "1")
+    monkeypatch.setattr(sampler, "sample_pmf", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and (
+        "n * max(count, 4096) + 1500 * (min(workers, count) - 1)=15029998500 "
+        "exceeds the sample guard 50000000" in err)
+    monkeypatch.undo()
+    # only workers that draw are charged, and each after the first as 1500 letters
+    argv = ("sample", "--n", "3", "--count", "4000", "--workers", "4", "--seed", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("n=3 count=4000 seed=1 workers=4")
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_SAMPLE_LETTERS", str(12288 + 3 * 1500 - 1))
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "=16788 exceeds the sample guard 16787" in err
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_SAMPLE_LETTERS", "16788")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.startswith("n=3 count=4000 seed=1 workers=4")
+    # 4 words: only 4 of the 1000 workers draw
+    code, out, _ = run(capsys, "sample", "--n", "3", "--count", "4",
+                       "--workers", "1000", "--seed", "1")
+    assert code == 0 and out.startswith("n=3 count=4 seed=1 workers=1000")
+
+
 def test_rate_command(capsys):
     code, out, _ = run(capsys, "rate", "--word", "101", "--n", "99", "--format", "json")
     assert code == 0

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -116,10 +119,78 @@ def test_render_produces_valid_svg():
         assert len(strands) == expected
 
 
-def test_under_strand_has_gap():
-    doc = render_svg("1")
-    # word "1": positive strand over, so the negative-slope strand is cut
-    assert doc.count("strand") >= 4
+# sha256 of render_svg(word) and render_svg(word, flip_crossings=True),
+# recorded from the renderer that worked in exact fractions of table units
+PINNED_SVG_SHA256 = {
+    "1": ("af05a9baeb066391b56fbd3e8caff236e21e39a4f8837d88032dcc249a46daa0",
+          "53d6ff627e64142b62dbe25ea8d8ece3a6e96438d0d475a199d9e7d4247065ed"),
+    "101": ("88aeda8ca10461f351d6d486bb6671575f7372d03b327a9621af9628f56e8081",
+            "96ca079e4b63959fa03b0221ab404e916eba51491b8ec6800dfb1b77e3273419"),
+    "1010": ("63d3736f91f1fce66e7c9a6add1958ed78a92a69bcba9f6b2501dc7d8394a755",
+             "529c18db65412c4bd7bc4f065838cec131994597b706ce5f55872e9241740504"),
+    "1001101": ("f6e6fa7e4e6e3eb6d6e0c26f2946072a527e570cc4e4ca05d9e3bae36ed2a2cb",
+                "848fef6ce384c5373946429914b6200e0cf72a7dc059948990e81e0e8644a1a3"),
+    40: ("8063a56b79824a8af11ca0c298058ec0a214e2e1ae7a22afd79ab3e437b5789a",
+         "1cbc06c8e84a7e95b727bce74b2d59242d79b21bbe0689fb43b57fa3a1540888"),
+    301: ("b0bbd7842dc7d67df9bc7476503b2944abe3977b3ad4ec5047f086362fdd76ae",
+          "6a0b278ae894b4881d193c008e0569ec0c4dc8c2841cc0b394a1e0e3fae3295a"),
+    2001: ("8c8023779147ac888d1c88c3799f745e9c12cb37adccbb2fe833c0b77a33b202",
+           "65feec96f585144f9c77e5811565556935256799cc8af913d08da4e4403a9e48"),
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_SVG_SHA256))
+def test_render_bytes_are_pinned(key):
+    # an int key n stands for a random word of n letters seeded with n
+    word = key if isinstance(key, str) else "".join(
+        random.Random(key).choice("01") for _ in range(key))
+    digests = tuple(
+        hashlib.sha256(render_svg(word, flip_crossings=flip).encode()).hexdigest()
+        for flip in (False, True)
+    )
+    assert digests == PINNED_SVG_SHA256[key]
+
+
+def _strand_lines(doc):
+    return [
+        tuple(float(el.get(k)) for k in ("x1", "y1", "x2", "y2"))
+        for el in ET.fromstring(doc).iter()
+        if el.tag.endswith("line") and el.get("class") == "strand"
+    ]
+
+
+def _on_diagonal(line, px, py, rise):
+    """Whether line lies on the pixel line through (px, py) of slope rise."""
+    x1, y1, x2, y2 = line
+    return y1 - py == rise * (x1 - px) and y2 - py == rise * (x2 - px)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_under_strand_stops_8px_either_side_of_each_crossing(flip):
+    # the README convention: a '1' puts the positive-slope strand on top,
+    # and --flip-crossings inverts that.  A table point (x, y) is drawn at
+    # pixel (40x + 60, 180 - 40y), so pixel y falls along a positive slope.
+    for n in (n for n in range(1, 11) if n % 3 != 2):
+        crossings = billiard_geometry(n).crossings
+        for letters in itertools.product("01", repeat=n):
+            word = "".join(letters)
+            lines = _strand_lines(render_svg(word, flip_crossings=flip))
+            for letter, (x, y) in zip(word, crossings):
+                px, py = 40 * x + 60, 180 - 40 * y
+                over_rise = -1 if (letter == "1") != flip else 1
+                where = (word, flip, x)
+                over = [ln for ln in lines if _on_diagonal(ln, px, py, over_rise)
+                        and min(ln[0], ln[2]) < px < max(ln[0], ln[2])]
+                assert len(over) == 1, where
+                # the under-strand's pieces near the crossing: one stops 8 px
+                # to its left and the next starts 8 px to its right
+                under = sorted(
+                    (min(ln[0], ln[2]), max(ln[0], ln[2])) for ln in lines
+                    if _on_diagonal(ln, px, py, -over_rise)
+                    and max(ln[0], ln[2]) >= px - 8 and min(ln[0], ln[2]) <= px + 8
+                )
+                assert len(under) == 2, where
+                assert under[0][1] == px - 8 and under[1][0] == px + 8, where
 
 
 def test_render_rejects_bad_words():
