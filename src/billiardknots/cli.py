@@ -15,7 +15,8 @@ import os
 import sys
 from typing import Optional
 
-from . import distributions, insertions, oracle, render, selfcheck, words
+# each command imports the other modules it uses, so a process compiles only those
+from . import words
 
 # guard key -> (environment variable, default)
 _GUARDS = {
@@ -28,6 +29,7 @@ _GUARDS = {
     "trace_max_len": ("BILLIARDKNOTS_MAX_TRACE_LEN", 3000),
     # sample letters drawn, plus a charge per extra worker
     "sample_max_letters": ("BILLIARDKNOTS_MAX_SAMPLE_LETTERS", 50_000_000),
+    "render_max_len": ("BILLIARDKNOTS_MAX_RENDER_LEN", 50_000),  # render word length
 }
 
 # Python releases without the int-to-str digit limit (3.10.6 and older)
@@ -111,20 +113,17 @@ def _cmd_class(args, guards) -> None:
 
 def _check_guard(label: str, value: int, limit: int, command: str) -> None:
     if value > limit:
-        raise oracle.ResourceGuardError(
+        raise words.ResourceGuardError(
             f"{label}={value} exceeds the {command} guard {limit}"
         )
 
 
-def _check_length(n: int, limit: int, command: str) -> None:
-    """Reject invalid lengths (exit 2), then lengths above the command's guard."""
-    distributions.check_length(n)
-    _check_guard("n", n, limit, command)
-
-
 def _cmd_prob(args, guards) -> None:
+    from . import distributions
+
     cls = words.knot_class(args.word, _mode(args))
-    _check_length(args.n, guards["prob_max_n"], "prob/rate")
+    distributions.check_length(args.n)  # an invalid length exits 2 before the guard
+    _check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
     p = distributions.knot_probability(cls, args.n)
     payload = {"word": args.word, "n": args.n, "canonical": cls.canonical,
                "probability": str(p), "float": float(p)}
@@ -132,7 +131,10 @@ def _cmd_prob(args, guards) -> None:
 
 
 def _cmd_pmf(args, guards) -> None:
-    _check_length(args.n, guards["pmf_max_n"], "pmf")
+    from . import distributions
+
+    distributions.check_length(args.n)
+    _check_guard("n", args.n, guards["pmf_max_n"], "pmf")
     pmf = distributions.crossing_pmf(args.n)
     lines = [f"c=0 (unknot): {pmf.unknot_mass} = {float(pmf.unknot_mass):.6g}"]
     for c in sorted(pmf.masses):
@@ -143,8 +145,11 @@ def _cmd_pmf(args, guards) -> None:
 
 
 def _cmd_rate(args, guards) -> None:
+    from . import distributions
+
     cls = words.knot_class(args.word, _mode(args))
-    _check_length(args.n, guards["prob_max_n"], "prob/rate")
+    distributions.check_length(args.n)
+    _check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
     report = distributions.alpha_rate(cls, args.n)
     payload = {"word": args.word, "n": report.n, "log2_rate": report.log2_rate,
                "target": report.target, "gap": report.gap}
@@ -154,6 +159,8 @@ def _cmd_rate(args, guards) -> None:
 
 
 def _cmd_enumerate(args, guards) -> None:
+    from . import oracle
+
     dist = oracle.exact_distribution(args.n, _mode(args), max_n=guards["enum_max_n"])
     lines = [f"n={dist.n} total={dist.total}"]
     for canonical in sorted(dist.counts, key=lambda u: (len(u), u)):
@@ -170,6 +177,8 @@ def _cmd_enumerate(args, guards) -> None:
 
 
 def _cmd_insertions(args, guards) -> None:
+    from . import oracle
+
     scope = oracle.INTERNAL_ONLY if args.internal_only else oracle.ALL
     found = oracle.enumerate_insertions(
         args.word, args.m, scope,
@@ -183,6 +192,8 @@ def _cmd_insertions(args, guards) -> None:
 
 
 def _cmd_trace(args, guards) -> None:
+    from . import insertions
+
     locs = tuple(int(x) for x in args.locations.split(",") if x.strip() != "")
     words.check_word(args.word)  # an invalid word exits 2 before the guard
     # one stack string per step: memory and output grow as the square
@@ -202,7 +213,7 @@ def _cmd_trace(args, guards) -> None:
 
 
 def _cmd_sample(args, guards) -> None:
-    from . import sampler  # numpy: only this command pays its import
+    from . import distributions, sampler  # numpy: only this command pays for it
 
     distributions.check_length(args.n)  # an invalid length exits 2 before the guard
     # a step of the lockstep walk over the n letter columns has a fixed cost
@@ -230,6 +241,11 @@ def _cmd_sample(args, guards) -> None:
 
 
 def _cmd_render(args, guards) -> None:
+    from . import render
+
+    # an invalid word or length exits 2 before the guard
+    n = render.check_length(len(words.check_word(args.word)))
+    _check_guard("len(word)", n, guards["render_max_len"], "render")
     svg = render.render_svg(args.word, flip_crossings=args.flip_crossings)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -238,6 +254,8 @@ def _cmd_render(args, guards) -> None:
 
 
 def _cmd_selfcheck(args, guards) -> int:
+    from . import selfcheck
+
     results = selfcheck.run_selfcheck(deep=args.deep)
     failures = 0
     for name, ok, detail in results:
@@ -349,7 +367,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except oracle.ResourceGuardError as exc:
+    except words.ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -163,6 +163,8 @@ def alpha_rate(knot: KnotClass, n: int) -> AsymptoticReport:
     p = knot_probability(knot, n)
     if p.numerator == 0:
         raise ValueError(f"probability of {knot.canonical!r} at n={n} is 0")
+    if n == 0:  # only the unknot has a probability there, and no rate
+        raise ValueError("the rate needs n >= 1")
     rate = (_log2_int(p.numerator) - p.exponent) / n
     return AsymptoticReport(n, rate, LOG2_ALPHA, abs(rate - LOG2_ALPHA))
 

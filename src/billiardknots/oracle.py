@@ -18,19 +18,17 @@ from .words import (
     MIRROR_IDENTIFIED,
     UNKNOT_CLASS,
     KnotClass,
+    ResourceGuardError,
     Word,
     available_moves,
     check_word,
     knot_class,
     reduce,
+    symmetry_orbit,
 )
 
 INTERNAL_ONLY = "internal-only"
 ALL = "all"
-
-
-class ResourceGuardError(RuntimeError):
-    """Raised when an enumeration would exceed its configured size guard."""
 
 
 @dataclass
@@ -116,34 +114,53 @@ def tally_terminals(n: int, start: int, stop: int) -> Counter:
     return counts
 
 
-def exact_distribution(
-    n: int, mode: str = MIRROR_IDENTIFIED, *, max_n: int = 22, chunk: int = 1 << 16
-) -> ExactDist:
-    """Reduce every one of the 2**n words and tally the resulting knots.
+def terminal_counts(n: int, *, max_n: int = 22, chunk: int = 1 << 16) -> Counter:
+    """Terminal-word counts over all 2**n words of length n.
 
-    Counts are grouped by the canonical word of each knot class and a
-    crossing-number histogram is tallied alongside.  Words are streamed in
-    fixed ranges via tally_terminals and merged; only the (small) set of
-    distinct terminal words is ever held at once.
+    Words are streamed in fixed ranges via tally_terminals and merged; only
+    the (small) set of distinct terminal words is ever held at once.
     """
     check_length(n)
     if n > max_n:
         raise ResourceGuardError(f"n={n} exceeds the enumeration guard {max_n}")
 
     total = 1 << n
-    terminal_counts: Counter[Word] = Counter()
+    counts: Counter[Word] = Counter()
     for start in range(0, total, chunk):
-        terminal_counts.update(tally_terminals(n, start, min(start + chunk, total)))
+        counts.update(tally_terminals(n, start, min(start + chunk, total)))
+    return counts
 
+
+def classify_terminals(
+    n: int, terminals: Counter, mode: str = MIRROR_IDENTIFIED
+) -> ExactDist:
+    """Group a terminal tally of length n into knot classes.
+
+    Counts are grouped by the canonical word of each knot class and a
+    crossing-number histogram is tallied alongside.  Every word of a
+    symmetry orbit has the same class, so knot_class runs once per orbit
+    and its answer is shared with the orbit's other members.
+    """
+    known: dict[Word, KnotClass] = {}
     counts: dict[Word, int] = {}
     classes: dict[Word, KnotClass] = {}
     crossing: Counter[int] = Counter()
-    for terminal, tally in terminal_counts.items():
-        cls = knot_class(terminal, mode)
+    for terminal, tally in terminals.items():
+        cls = known.get(terminal)
+        if cls is None:
+            cls = knot_class(terminal, mode)
+            known.update(dict.fromkeys(symmetry_orbit(terminal, mode), cls))
         counts[cls.canonical] = counts.get(cls.canonical, 0) + tally
         classes[cls.canonical] = cls
         crossing[cls.crossing_number] += tally
     return ExactDist(n, mode, counts, classes, dict(crossing))
+
+
+def exact_distribution(
+    n: int, mode: str = MIRROR_IDENTIFIED, *, max_n: int = 22, chunk: int = 1 << 16
+) -> ExactDist:
+    """Reduce every one of the 2**n words and tally the resulting knots."""
+    return classify_terminals(n, terminal_counts(n, max_n=max_n, chunk=chunk), mode)
 
 
 def enumerate_insertions(

@@ -70,6 +70,13 @@ def _interior_points(vertices):
             yield x, y1 + slope * (x - x1), index
 
 
+def check_length(n: int) -> int:
+    """Reject lengths that have no diagram: n < 1 or n == 2 mod 3."""
+    if n < 1 or n % 3 == 2:
+        raise ValueError(f"invalid length {n}: need n >= 1 with n = 0 or 1 mod 3")
+    return n
+
+
 def _geometry_and_strands(
     n: int,
 ) -> tuple[BilliardGeometry, dict[tuple[int, int], list[int]]]:
@@ -78,9 +85,7 @@ def _geometry_and_strands(
     A crossing is a lattice point that two strands pass through; the
     trajectory is read off once, in time linear in n.
     """
-    if n < 1 or n % 3 == 2:
-        raise ValueError(f"invalid length {n}: need n >= 1 with n = 0 or 1 mod 3")
-    width = n + 1
+    width = check_length(n) + 1
     vertices = _trace(width)
     through: dict[tuple[int, int], list[int]] = {}
     for x, y, index in _interior_points(vertices):

@@ -134,8 +134,10 @@ def check_distribution(
     """Formula probabilities and the crossing pmf match exhaustive enumeration."""
     lengths = tuple(lengths)
     for n in lengths:
+        terminals = oracle.terminal_counts(n)
+        pmf = distributions.crossing_pmf(n)
         for mode in modes:
-            dist = oracle.exact_distribution(n, mode)
+            dist = oracle.classify_terminals(n, terminals, mode)
             for canonical, cnt in dist.counts.items():
                 p = distributions.knot_probability(dist.classes[canonical], n)
                 if p.fraction != Fraction(cnt, dist.total):
@@ -144,7 +146,6 @@ def check_distribution(
                         False,
                         f"n={n} {mode} {canonical!r}: {p} != {cnt}/{dist.total}",
                     )
-            pmf = distributions.crossing_pmf(n)
             for c, cnt in dist.crossing_counts.items():
                 mass = pmf.unknot_mass if c == 0 else pmf.masses[c]
                 if mass.fraction != Fraction(cnt, dist.total):

@@ -40,6 +40,10 @@ UNKNOT_FORMS = ("", "0", "1", "00", "11")
 _COMPLEMENT_TABLE = str.maketrans("01", "10")
 
 
+class ResourceGuardError(RuntimeError):
+    """Raised when an input would exceed its configured size guard."""
+
+
 def check_word(w: Word) -> Word:
     """Validate that w is a string over {'0','1'}; return it unchanged."""
     if not isinstance(w, str) or w.strip("01"):

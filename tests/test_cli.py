@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from time import perf_counter
 
-from billiardknots import cli, distributions, insertions, sampler
+from hypothesis import given, settings, strategies as st
+
+from billiardknots import cli, distributions, insertions, render, sampler
 from billiardknots.cli import main
 from billiardknots.words import knot_class
 
@@ -208,6 +213,35 @@ def test_sample_guard_charges_workers(capsys, monkeypatch):
     assert code == 0 and out.startswith("n=3 count=4 seed=1 workers=1000")
 
 
+def test_render_guard(capsys, monkeypatch, tmp_path):
+    drawn = []
+
+    def stand_in(w, flip_crossings=False):
+        drawn.append(len(w))
+        return "<svg/>"
+
+    monkeypatch.setattr(render, "render_svg", stand_in)
+    out_path = str(tmp_path / "long.svg")
+    code, out, err = run(capsys, "render", "1" * 50_001, "--out", out_path)
+    assert code == 3
+    assert out == "" and "len(word)=50001 exceeds the render guard 50000" in err
+    # an invalid length or word exits 2 before the guard
+    code, _, _ = run(capsys, "render", "1" * 50_003, "--out", out_path)
+    assert code == 2
+    code, _, _ = run(capsys, "render", "1" * 50_000 + "x", "--out", out_path)
+    assert code == 2
+    assert drawn == [] and not os.path.exists(out_path)
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_RENDER_LEN", "50001")
+    code, _, _ = run(capsys, "render", "1" * 50_001, "--out", out_path)
+    assert code == 0 and drawn == [50_001]
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_RENDER_LEN", "3")
+    code, _, err = run(capsys, "render", "1010", "--out", out_path)
+    assert code == 3 and "len(word)=4 exceeds the render guard 3" in err
+    monkeypatch.setenv("BILLIARDKNOTS_MAX_RENDER_LEN", "4")
+    code, _, _ = run(capsys, "render", "1010", "--out", out_path)
+    assert code == 0 and drawn == [50_001, 4]
+
+
 def test_rate_command(capsys):
     code, out, _ = run(capsys, "rate", "--word", "101", "--n", "99", "--format", "json")
     assert code == 0
@@ -351,3 +385,136 @@ def test_python_dash_m_runs_the_cli():
     done = run_python("-m", "billiardknots", "reduce", "100001001110")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "101\n"
+
+
+# every name the package exported when it imported all its modules eagerly
+EXPORTED = {
+    "counting": ("binomial", "binomial_lt", "count_full", "count_full_row",
+                 "count_internal", "feasible_count"),
+    "distributions": ("ALPHA", "BETA", "AsymptoticReport", "BetaSummary",
+                      "CrossingPmf", "ExactProb", "alpha_rate", "beta_summary",
+                      "crossing_pmf", "knot_probability", "phi", "phi_gradient"),
+    "insertions": ("ExternalDecomposition", "LocationSet", "ReconstructionTrace",
+                   "decompose_external", "is_feasible", "location_map", "member",
+                   "reconstruct", "witnesses"),
+    "oracle": ("ExactDist", "ResourceGuardError", "all_terminal_words",
+               "crossing_pmf_by_double_sum", "enumerate_insertions",
+               "exact_distribution", "reduce_by_moves", "tally_terminals"),
+    "render": ("BilliardGeometry", "billiard_geometry", "render_svg"),
+    "words": ("CHIRAL", "MIRROR_IDENTIFIED", "UNKNOT_CLASS", "KnotClass",
+              "ReductionMove", "RunDecomposition", "Word", "apply_move",
+              "available_moves", "complement", "crossing_number", "is_reduced",
+              "knot_class", "reduce", "reduce_runs", "resize", "reverse", "runs",
+              "symmetry", "symmetry_orbit"),
+    "sampler": ("SampleReport", "sample_pmf", "tv_distance"),
+}
+
+
+def test_each_command_loads_only_its_modules():
+    # a fresh interpreter, so that only the commands run here load modules
+    script = textwrap.dedent("""
+        import importlib, json, sys
+        from billiardknots.cli import main
+
+        def loaded():
+            return {m.split(".")[1] for m in sys.modules
+                    if m.startswith("billiardknots.")}
+
+        for argv in (["reduce", "0011"], ["moves", "10100"], ["class", "101"]):
+            assert main(argv) == 0, argv
+            assert loaded() == {"cli", "words"}, (argv, loaded())
+        for argv in (["pmf", "--n", "6"], ["prob", "101", "--n", "6"],
+                     ["rate", "--word", "101", "--n", "99"]):
+            assert main(argv) == 0, argv
+            heavy = loaded() & {"oracle", "insertions", "render", "selfcheck"}
+            assert not heavy, (argv, heavy)
+        assert main(["enumerate", "--n", "18"]) == 3  # raised inside oracle
+
+        import billiardknots
+        exec("from billiardknots import *", {})
+        assert "numpy" not in sys.modules  # the sampler's names are not in __all__
+        exported = json.loads(sys.argv[1])
+        listed = set(dir(billiardknots))
+        for module, names in exported.items():
+            owner = importlib.import_module(f"billiardknots.{module}")
+            assert module in listed, module
+            for name in names:
+                assert getattr(billiardknots, name) is getattr(owner, name), name
+                assert name in listed, name
+        words = importlib.import_module("billiardknots.words")
+        assert billiardknots.ResourceGuardError is words.ResourceGuardError
+    """)
+    done = run_python("-c", script, json.dumps(EXPORTED))
+    assert done.returncode == 0, done.stderr
+
+
+# every guard lowered, so that no fuzzed input runs for long
+FUZZ_GUARDS = {
+    "BILLIARDKNOTS_MAX_ENUM_N": "10",
+    "BILLIARDKNOTS_MAX_WORD_LEN": "5",
+    "BILLIARDKNOTS_MAX_INSERTIONS": "2",
+    "BILLIARDKNOTS_MAX_PROB_N": "40",
+    "BILLIARDKNOTS_MAX_PMF_N": "40",
+    "BILLIARDKNOTS_MAX_TRACE_LEN": "30",
+    "BILLIARDKNOTS_MAX_SAMPLE_LETTERS": "50000",
+    "BILLIARDKNOTS_MAX_RENDER_LEN": "20",
+}
+FUZZ_SECONDS = 2.0  # per call; the slowest answers take well under 0.1 s
+
+
+def _numbers(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(("", "x", "1.5")))
+
+
+_fuzz_words = st.one_of(st.text("01", max_size=40), st.text("01x-", max_size=6))
+_fuzz_tail = st.lists(st.sampled_from((
+    "--format", "json", "csv", "xml", "--chiral", "--internal-only",
+    "--flip-crossings", "--deep", "--n", "7", "--m", "1")), max_size=3)
+
+
+@st.composite
+def _fuzz_argv(draw, out_path):
+    command = draw(st.sampled_from((
+        "reduce", "moves", "class", "prob", "pmf", "rate", "enumerate",
+        "insertions", "trace", "sample", "render", "no-such-command")))
+    word = draw(_fuzz_words)
+    options = {
+        "reduce": [word],
+        "moves": [word],
+        "class": [word],
+        "prob": [word, "--n", draw(_numbers(-3, 60))],
+        "pmf": ["--n", draw(_numbers(-3, 60))],
+        "rate": ["--word", word, "--n", draw(_numbers(-3, 60))],
+        "enumerate": ["--n", draw(_numbers(-3, 14))],
+        "insertions": [word, "--m", draw(_numbers(-2, 4))],
+        "trace": [word, "--m", draw(_numbers(-2, 12)), "--locations",
+                  ",".join(draw(st.lists(_numbers(-2, 40), max_size=4)))],
+        "sample": ["--n", draw(_numbers(-3, 60)), "--count", draw(_numbers(-2, 5000)),
+                   "--seed", draw(_numbers(-2, 2**32)),
+                   "--workers", draw(_numbers(-1, 40))],
+        "render": [word, "--out", out_path],
+        "no-such-command": [],
+    }[command]
+    return [command, *options, *draw(_fuzz_tail)]
+
+
+def test_cli_fuzz_answers_or_exits_2_or_3_in_bounded_time(monkeypatch, tmp_path):
+    for env, value in FUZZ_GUARDS.items():
+        monkeypatch.setenv(env, value)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_fuzz_argv(str(tmp_path / "fuzz.svg")))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        t = perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+        assert perf_counter() - t < FUZZ_SECONDS, argv
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        if code != 0:
+            assert out.getvalue() == "", argv
+
+    check()

@@ -169,6 +169,12 @@ def test_alpha_rate_zero_probability_rejected():
         alpha_rate(TREFOIL, 0)
 
 
+def test_alpha_rate_at_length_zero_rejected():
+    # the unknot has probability 1 there, but a rate per letter needs a letter
+    with pytest.raises(ValueError, match="n >= 1"):
+        alpha_rate(UNKNOT_CLASS, 0)
+
+
 def test_alpha_rate_on_big_exact_values():
     report = alpha_rate(TREFOIL, 999)
     assert report.gap < 0.05

@@ -6,11 +6,13 @@ from billiardknots.oracle import (
     INTERNAL_ONLY,
     ResourceGuardError,
     all_terminal_words,
+    classify_terminals,
     enumerate_insertions,
     exact_distribution,
     tally_terminals,
+    terminal_counts,
 )
-from billiardknots.words import CHIRAL
+from billiardknots.words import CHIRAL, MIRROR_IDENTIFIED, knot_class
 
 
 # ---------------------------------------------------------------- exact distribution
@@ -57,6 +59,25 @@ def test_exact_distribution_guard_and_validation():
         exact_distribution(5)
     with pytest.raises(ValueError):
         exact_distribution(-1)
+
+
+def test_orbit_shared_classes_equal_one_knot_class_per_terminal():
+    for n in (n for n in range(15) if n % 3 != 2):
+        terminals = terminal_counts(n)
+        for mode in (MIRROR_IDENTIFIED, CHIRAL):
+            counts, classes, crossing = {}, {}, {}
+            for terminal, tally in terminals.items():
+                cls = knot_class(terminal, mode)
+                counts[cls.canonical] = counts.get(cls.canonical, 0) + tally
+                classes[cls.canonical] = cls
+                c = cls.crossing_number
+                crossing[c] = crossing.get(c, 0) + tally
+            dist = classify_terminals(n, terminals, mode)
+            # in the same dict order as well
+            assert list(dist.counts.items()) == list(counts.items()), (n, mode)
+            assert list(dist.classes.items()) == list(classes.items()), (n, mode)
+            assert list(dist.crossing_counts.items()) == list(crossing.items())
+            assert dist == exact_distribution(n, mode)
 
 
 def test_formulas_match_enumeration_small():

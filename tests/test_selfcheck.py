@@ -15,7 +15,7 @@ from billiardknots.cli import main
 # the originals, which the stand-ins call once the module attribute is patched
 binomial_lt, count_full = counting.binomial_lt, counting.count_full
 count_internal, count_full_row = counting.count_internal, counting.count_full_row
-knot_class = words.knot_class
+knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
 external_moves = sampler._external_moves
 
 
@@ -45,6 +45,10 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
      lambda m, ell: count_full(m, ell) + (m == 1)),
     (lambda: sc.check_distribution((3,), (words.CHIRAL,)), distributions,
      "knot_probability", lambda knot, n: distributions.ExactProb(0, n)),
+    # the oracle shares each class over the orbit its lookup names: "101" and
+    # "010" are mirror images, so different chiral classes
+    (lambda: sc.check_distribution((3,), (words.CHIRAL,)), oracle, "symmetry_orbit",
+     lambda w, mode: symmetry_orbit(w, mode) | {"101"}),
     (lambda: sc.check_normalization(7), distributions, "count_full",
      lambda m, ell: count_full(m, ell) + (m == 1)),
     (lambda: sc.check_distribution((6,), (words.CHIRAL,)), distributions,
