@@ -23,9 +23,8 @@ _EXPORTS = {
     "distributions": ("ALPHA", "BETA", "AsymptoticReport", "BetaSummary",
                       "CrossingPmf", "ExactProb", "alpha_rate", "beta_summary",
                       "crossing_pmf", "knot_probability", "phi", "phi_gradient"),
-    "insertions": ("ExternalDecomposition", "LocationSet", "ReconstructionTrace",
-                   "decompose_external", "is_feasible", "location_map", "member",
-                   "reconstruct", "witnesses"),
+    "insertions": ("LocationSet", "ReconstructionTrace", "is_feasible",
+                   "location_map", "reconstruct"),
     "oracle": ("ExactDist", "all_terminal_words", "crossing_pmf_by_double_sum",
                "enumerate_insertions", "exact_distribution", "reduce_by_moves",
                "tally_terminals"),
@@ -34,7 +33,7 @@ _EXPORTS = {
               "ReductionMove", "ResourceGuardError", "RunDecomposition", "Word",
               "apply_move", "available_moves", "complement", "crossing_number",
               "is_reduced", "knot_class", "reduce", "reduce_runs", "resize",
-              "reverse", "runs", "symmetry", "symmetry_orbit"),
+              "reverse", "runs", "symmetry_orbit"),
     "sampler": ("SampleReport", "sample_pmf", "tv_distance"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -62,7 +62,7 @@ def _mode(args) -> str:
     return words.CHIRAL if getattr(args, "chiral", False) else words.MIRROR_IDENTIFIED
 
 
-def _emit(args, payload: dict, text: str, rows: Optional[list] = None,
+def _emit(args, payload: dict | list, text: str, rows: Optional[list] = None,
           header: Optional[tuple] = None) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -257,11 +257,12 @@ def _cmd_selfcheck(args, guards) -> int:
     from . import selfcheck
 
     results = selfcheck.run_selfcheck(deep=args.deep)
-    failures = 0
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        failures += 0 if ok else 1
-    return 1 if failures else 0
+    payload = [{"name": name, "ok": ok, "detail": detail}
+               for name, ok, detail in results]
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
+             for name, ok, detail in results]
+    _emit(args, payload, "\n".join(lines), results, ("check", "ok", "detail"))
+    return 0 if all(ok for _, ok, _ in results) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,7 +57,7 @@ def feasible_count(size: int, s: int) -> int:
     By the ballot problem (non-locations must stay at least twice ahead of
     locations in every suffix, a 2:1 lead) this is C(size,s) - 2*C(size,s-1).
     When 3*s exceeds size + 1 the expression goes negative and no feasible
-    set exists; the count is clamped to 0 (see ballot_clamped).
+    set exists; the count is clamped to 0.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -65,11 +65,6 @@ def feasible_count(size: int, s: int) -> int:
         raise ValueError("s must be nonnegative")
     value = binomial(size, s) - 2 * binomial(size, s - 1)
     return value if value > 0 else 0
-
-
-def ballot_clamped(size: int, s: int) -> bool:
-    """True when feasible_count(size, s) clamped a negative ballot value."""
-    return binomial(size, s) - 2 * binomial(size, s - 1) < 0
 
 
 def count_internal(ell: int, m: int) -> int:

@@ -1,4 +1,4 @@
-"""Canonical triple insertions: location sets, reconstruction, membership.
+"""Canonical triple insertions: location sets, reconstruction, feasibility.
 
 Inserting triples (000/111 anywhere; 001/110 as a prefix; 011/100 as a
 suffix) is the inverse of the reduction moves in billiardknots.words.  Every
@@ -10,16 +10,9 @@ the word from that set, or reports that the set is infeasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .words import (
-    PREFIX_TRIPLES,
-    REDUCED,
-    SUFFIX_TRIPLES,
-    Word,
-    check_word,
-    is_reduced,
-)
+from .words import Word, check_word
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,7 @@ def reconstruct(w: Word, m: int, locations) -> ReconstructionTrace:
     """Rebuild the word whose canonical insertion locations are `locations`.
 
     The stack starts holding w with its first letter on top.  Step i first
-    checks membership of i in the location set: if present, it peeks at the
+    checks whether i is in the location set: if it is, it peeks at the
     top (an empty stack reads 0) and pushes three copies of the opposite
     letter.  Then one letter is popped (an empty stack pops 0) and written
     as the i-th output letter.  The run succeeds iff the stack is empty
@@ -177,84 +170,3 @@ def is_feasible(size: int, locations) -> bool:
         if 2 * inside > outside:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class ExternalDecomposition:
-    """A word peeled as prefix^i . base . suffix^j plus leftover internal budget."""
-
-    prefix: Optional[str]
-    prefix_count: int
-    suffix: Optional[str]
-    suffix_count: int
-    internal_count: int
-
-    @property
-    def external_count(self) -> int:
-        return self.prefix_count + self.suffix_count
-
-
-def _stagings(
-    w: Word, e: int, internal_count: int
-) -> Iterator[tuple[ExternalDecomposition, Word]]:
-    """Yield (decomposition, prefix^i . w . suffix^j) for every i + j == e.
-
-    Search order: prefix count ascending, affixes in lexicographic order.
-    """
-    for i in range(e + 1):
-        j = e - i
-        for p in PREFIX_TRIPLES if i else (None,):
-            for s in SUFFIX_TRIPLES if j else (None,):
-                staged = (p or "") * i + w + (s or "") * j
-                yield ExternalDecomposition(p, i, s, j, internal_count), staged
-
-
-def decompose_external(w: Word, w_double: Word) -> Optional[ExternalDecomposition]:
-    """Unique reading of w_double as repeated external insertions around w.
-
-    w must be reduced or empty.  For reduced w the decomposition is unique;
-    for the empty word the first hit in the deterministic search order
-    (prefix count ascending, affixes in lexicographic order) is returned.
-    Returns None when no such reading exists.
-    """
-    check_word(w)
-    check_word(w_double)
-    if w != "" and is_reduced(w) != REDUCED:
-        raise ValueError(f"base word must be reduced or empty, got {w!r}")
-    diff = len(w_double) - len(w)
-    if diff < 0 or diff % 3:
-        return None
-    for decomposition, staged in _stagings(w, diff // 3, 0):
-        if staged == w_double:
-            return decomposition
-    return None
-
-
-def witnesses(
-    w: Word, m: int, w_prime: Word
-) -> list[tuple[ExternalDecomposition, LocationSet]]:
-    """All staged derivations of w_prime from w by m insertions.
-
-    A staging does all external insertions first (collapsed to the form
-    prefix^i . w . suffix^j) and the remaining m - i - j insertions
-    internally.  For reduced w there is at most one staging.
-    """
-    check_word(w_prime)
-    if w != "" and is_reduced(w) != REDUCED:
-        raise ValueError(f"base word must be reduced or empty, got {w!r}")
-    if m < 0 or len(w_prime) != len(w) + 3 * m:
-        raise ValueError(
-            f"expected a word of length {len(w) + 3 * m}, got {len(w_prime)}"
-        )
-    found = []
-    for e in range(m + 1):
-        for decomposition, staged in _stagings(w, e, m - e):
-            loc = location_map(staged, w_prime)
-            if loc is not None:
-                found.append((decomposition, loc))
-    return found
-
-
-def member(w: Word, m: int, w_prime: Word) -> bool:
-    """Whether w_prime arises from w by exactly m insertions of any kind."""
-    return bool(witnesses(w, m, w_prime))

@@ -58,7 +58,7 @@ class ExactDist:
 
 
 def all_words(n: int) -> Iterator[Word]:
-    """Every word of length n, in the numbering of tally_terminals."""
+    """Every word of length n: word number v is the n-bit binary expansion of v."""
     for value in range(1 << n):
         yield format(value, f"0{n}b") if n else ""
 
@@ -100,35 +100,21 @@ def crossing_pmf_by_double_sum(n: int) -> CrossingPmf:
     return CrossingPmf(n, knot_probability(UNKNOT_CLASS, n), masses)
 
 
-def tally_terminals(n: int, start: int, stop: int) -> Counter:
-    """Terminal-word counts over the words numbered start..stop-1.
-
-    Word number v is the n-bit binary expansion of v.  Tallies over
-    disjoint ranges add up to the full tally, so ranges can be processed
-    in any partition (or in parallel) with identical totals.
-    """
-    counts: Counter[Word] = Counter()
-    for value in range(start, stop):
-        word = format(value, f"0{n}b") if n else ""
-        counts[reduce(word)] += 1
-    return counts
+def tally_terminals(n: int) -> Counter:
+    """Terminal-word counts over all 2**n words of length n."""
+    return Counter(map(reduce, all_words(n)))
 
 
-def terminal_counts(n: int, *, max_n: int = 22, chunk: int = 1 << 16) -> Counter:
-    """Terminal-word counts over all 2**n words of length n.
+def terminal_counts(n: int, *, max_n: int = 22) -> Counter:
+    """tally_terminals(n) behind the length check and the enumeration guard.
 
-    Words are streamed in fixed ranges via tally_terminals and merged; only
-    the (small) set of distinct terminal words is ever held at once.
+    Words are streamed, so only the (small) set of distinct terminal words
+    is ever held at once.
     """
     check_length(n)
     if n > max_n:
         raise ResourceGuardError(f"n={n} exceeds the enumeration guard {max_n}")
-
-    total = 1 << n
-    counts: Counter[Word] = Counter()
-    for start in range(0, total, chunk):
-        counts.update(tally_terminals(n, start, min(start + chunk, total)))
-    return counts
+    return tally_terminals(n)
 
 
 def classify_terminals(
@@ -139,7 +125,7 @@ def classify_terminals(
     Counts are grouped by the canonical word of each knot class and a
     crossing-number histogram is tallied alongside.  Every word of a
     symmetry orbit has the same class, so knot_class runs once per orbit
-    and its answer is shared with the orbit's other members.
+    and its answer is shared with the rest of the orbit.
     """
     known: dict[Word, KnotClass] = {}
     counts: dict[Word, int] = {}
@@ -157,10 +143,10 @@ def classify_terminals(
 
 
 def exact_distribution(
-    n: int, mode: str = MIRROR_IDENTIFIED, *, max_n: int = 22, chunk: int = 1 << 16
+    n: int, mode: str = MIRROR_IDENTIFIED, *, max_n: int = 22
 ) -> ExactDist:
     """Reduce every one of the 2**n words and tally the resulting knots."""
-    return classify_terminals(n, terminal_counts(n, max_n=max_n, chunk=chunk), mode)
+    return classify_terminals(n, terminal_counts(n, max_n=max_n), mode)
 
 
 def enumerate_insertions(

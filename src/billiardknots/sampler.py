@@ -28,7 +28,6 @@ _BATCH = 4096
 # rows are reduced in blocks with one uint8 stack cell per letter, at most
 # this many cells (bytes) a block, or one row's n cells when n is larger
 _BLOCK_CELLS = 1 << 22
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class SampleReport:
 
 
 def _substream(seed: int, worker: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, worker & _MASK64], dtype=np.uint64)
+    key = np.array([seed, worker], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -161,11 +160,14 @@ def sample_pmf(
     workers reproduces the same report bit for bit.  The substreams run one
     after another in this process, so `workers` gives no parallel speed-up;
     it is there so that a report is reproducible for a given
-    (n, count, seed, workers).
+    (n, count, seed, workers).  The seed is one 64-bit Philox key word, so
+    it must lie in 0 .. 2**64 - 1.
     """
     check_length(n)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
 

@@ -240,18 +240,6 @@ def resize(w: Word) -> Word:
     return RunDecomposition(r.first_bit, (1,) + inner + (1,)).word()
 
 
-_SYMMETRIES = {"complement": complement, "reverse": reverse, "resize": resize}
-
-
-def symmetry(w: Word, op: str) -> Word:
-    """Apply one of the symmetry operations: complement, reverse or resize."""
-    try:
-        fn = _SYMMETRIES[op]
-    except KeyError:
-        raise ValueError(f"unknown symmetry {op!r}") from None
-    return fn(w)
-
-
 @dataclass(frozen=True)
 class KnotClass:
     """A knot, as the symmetry orbit of its reduced word representations.
@@ -298,7 +286,7 @@ def symmetry_orbit(w: Word, mode: str = MIRROR_IDENTIFIED) -> frozenset[Word]:
     """
     _check_mode(mode)
     t = reduce(w)
-    if terminal_crossing_number(runs(t).run_lengths) == 0:
+    if t in UNKNOT_FORMS:
         return frozenset(("", "0", "1"))
     if len(t) % 3 == 2:
         raise ValueError(
@@ -348,16 +336,13 @@ def knot_class(w: Word, mode: str = MIRROR_IDENTIFIED) -> KnotClass:
     )
 
 
-def terminal_crossing_number(run_lengths: tuple[int, ...]) -> int:
-    """Crossing number read off the run lengths of a terminal word.
+def crossing_number(w: Word) -> int:
+    """Crossing number of the knot: the run count of the terminal word.
 
     A terminal of at most one run is an unknot leftover (one of
-    UNKNOT_FORMS) and has crossing number 0; any other terminal has one
-    crossing per run.
+    UNKNOT_FORMS) and has crossing number 0.
     """
-    return len(run_lengths) if len(run_lengths) > 1 else 0
-
-
-def crossing_number(w: Word) -> int:
-    """Crossing number of the knot: run count of the terminal word, 0 for unknots."""
-    return terminal_crossing_number(runs(reduce(w)).run_lengths)
+    if not check_word(w):
+        return 0
+    count = len(reduce_runs(int(w[0]), _run_lengths(w))[1])
+    return count if count > 1 else 0

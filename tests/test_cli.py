@@ -330,6 +330,40 @@ def test_selfcheck_quick(capsys):
     )
 
 
+def test_selfcheck_formats(capsys, monkeypatch):
+    from billiardknots import selfcheck
+
+    results = [("reduce-engines", True, "all words up to length 9"),
+               ("confluence", False, "'0110' -> ['0', '1']")]
+    monkeypatch.setattr(selfcheck, "run_selfcheck", lambda deep=False: results)
+    code, out, _ = run(capsys, "selfcheck", "--format", "json")
+    assert code == 1  # a failed check still exits 1
+    assert json.loads(out) == [
+        {"name": "reduce-engines", "ok": True, "detail": "all words up to length 9"},
+        {"name": "confluence", "ok": False, "detail": "'0110' -> ['0', '1']"},
+    ]
+    code, out, _ = run(capsys, "selfcheck", "--format", "csv")
+    assert code == 1
+    assert out.splitlines() == ["check,ok,detail",
+                                "reduce-engines,True,all words up to length 9",
+                                "confluence,False,\"'0110' -> ['0', '1']\""]
+    code, out, _ = run(capsys, "selfcheck")
+    assert code == 1
+    assert out == ("PASS  reduce-engines: all words up to length 9\n"
+                   "FAIL  confluence: '0110' -> ['0', '1']\n")
+
+
+def test_sample_seed_outside_64_bits_is_exit_2(capsys):
+    for seed in ("-1", str(2**64)):
+        code, out, err = run(capsys, "sample", "--n", "30", "--count", "10",
+                             "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must be in 0 .. 2**64 - 1" in err
+    code, _, _ = run(capsys, "sample", "--n", "30", "--count", "10",
+                     "--seed", str(2**64 - 1))
+    assert code == 0
+
+
 def test_invalid_word_is_exit_2(capsys):
     code, _, err = run(capsys, "reduce", "10x")
     assert code == 2
@@ -387,16 +421,15 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout == "101\n"
 
 
-# every name the package exported when it imported all its modules eagerly
+# every public name of the package, by the module that defines it
 EXPORTED = {
     "counting": ("binomial", "binomial_lt", "count_full", "count_full_row",
                  "count_internal", "feasible_count"),
     "distributions": ("ALPHA", "BETA", "AsymptoticReport", "BetaSummary",
                       "CrossingPmf", "ExactProb", "alpha_rate", "beta_summary",
                       "crossing_pmf", "knot_probability", "phi", "phi_gradient"),
-    "insertions": ("ExternalDecomposition", "LocationSet", "ReconstructionTrace",
-                   "decompose_external", "is_feasible", "location_map", "member",
-                   "reconstruct", "witnesses"),
+    "insertions": ("LocationSet", "ReconstructionTrace", "is_feasible",
+                   "location_map", "reconstruct"),
     "oracle": ("ExactDist", "ResourceGuardError", "all_terminal_words",
                "crossing_pmf_by_double_sum", "enumerate_insertions",
                "exact_distribution", "reduce_by_moves", "tally_terminals"),
@@ -405,7 +438,7 @@ EXPORTED = {
               "ReductionMove", "RunDecomposition", "Word", "apply_move",
               "available_moves", "complement", "crossing_number", "is_reduced",
               "knot_class", "reduce", "reduce_runs", "resize", "reverse", "runs",
-              "symmetry", "symmetry_orbit"),
+              "symmetry_orbit"),
     "sampler": ("SampleReport", "sample_pmf", "tv_distance"),
 }
 

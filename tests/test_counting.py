@@ -4,7 +4,6 @@ import pytest
 
 from billiardknots import selfcheck
 from billiardknots.counting import (
-    ballot_clamped,
     binomial,
     binomial_lt,
     count_full,
@@ -64,10 +63,7 @@ def test_feasible_count_matches_brute_force():
 
 def test_feasible_count_clamps_to_zero():
     assert feasible_count(3, 2) == 0
-    assert ballot_clamped(3, 2)
-    assert not ballot_clamped(9, 2)
     assert feasible_count(3, 1) == 1  # boundary size = 3s: Catalan-like count
-    assert not ballot_clamped(2, 1)  # expression exactly 0, not negative
     assert feasible_count(2, 1) == 0
 
 

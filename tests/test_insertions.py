@@ -4,16 +4,11 @@ import pytest
 
 from billiardknots import selfcheck
 from billiardknots.insertions import (
-    ExternalDecomposition,
     LocationSet,
-    decompose_external,
     is_feasible,
     location_map,
-    member,
     reconstruct,
-    witnesses,
 )
-from billiardknots.oracle import ALL, all_words, enumerate_insertions
 
 
 # ---------------------------------------------------------------- reconstruct
@@ -143,78 +138,6 @@ def test_feasibility_equals_reconstruction_success():
     # success depends only on the location set and the total size
     _, ok, detail = selfcheck.check_feasibility(3, 3)
     assert ok, detail
-
-
-# ---------------------------------------------------------------- external staging
-
-def test_decompose_external_examples():
-    assert decompose_external("101", "001001101100") == ExternalDecomposition(
-        "001", 2, "100", 1, 0
-    )
-    assert decompose_external("101", "101") == ExternalDecomposition(
-        None, 0, None, 0, 0
-    )
-    assert decompose_external("", "001") == ExternalDecomposition(
-        "001", 1, None, 0, 0
-    )
-
-
-def test_decompose_external_absent():
-    assert decompose_external("101", "000101000") is None
-    assert decompose_external("101", "1011") is None
-
-
-def test_decompose_external_rejects_unreduced_base():
-    with pytest.raises(ValueError):
-        decompose_external("0011", "0010011")
-    with pytest.raises(ValueError):
-        decompose_external("0", "0010")
-
-
-def test_decompose_external_unique_for_reduced_base():
-    for w in ("101", "010", "1010", "10010"):
-        for wp in enumerate_insertions(w, 2, ALL):
-            dec = decompose_external(w, wp)
-            if dec is None:
-                continue
-            rebuilt = (dec.prefix or "") * dec.prefix_count + w + (
-                dec.suffix or ""
-            ) * dec.suffix_count
-            assert rebuilt == wp
-
-
-# ---------------------------------------------------------------- membership
-
-def test_member_examples():
-    assert member("101", 3, "100001001110")
-    assert member("101", 1, "001101")
-    assert not member("101", 1, "101101")
-
-
-def test_member_matches_enumeration():
-    for w in ("101", "0101"):
-        for m in range(3):
-            reachable = enumerate_insertions(w, m, ALL)
-            for wp in all_words(len(w) + 3 * m):
-                assert member(w, m, wp) == (wp in reachable), (w, m, wp)
-
-
-def test_member_validates_input():
-    with pytest.raises(ValueError):
-        member("0011", 1, "0011000")
-    with pytest.raises(ValueError):
-        member("101", 1, "1010")
-
-
-def test_staging_witness_unique():
-    for w in ("101", "1010"):
-        for m in range(3):
-            for wp in enumerate_insertions(w, m, ALL):
-                found = witnesses(w, m, wp)
-                assert len(found) == 1, (w, m, wp, found)
-                dec, loc = found[0]
-                assert dec.external_count + dec.internal_count == m
-                assert len(loc.locations) <= dec.internal_count
 
 
 def test_insertions_preserve_knot_class():

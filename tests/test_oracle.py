@@ -9,7 +9,6 @@ from billiardknots.oracle import (
     classify_terminals,
     enumerate_insertions,
     exact_distribution,
-    tally_terminals,
     terminal_counts,
 )
 from billiardknots.words import CHIRAL, MIRROR_IDENTIFIED, knot_class
@@ -34,14 +33,6 @@ def test_exact_distribution_counts_sum_to_total():
         dist = exact_distribution(n)
         assert sum(dist.counts.values()) == dist.total
         assert sum(dist.crossing_counts.values()) == dist.total
-
-
-def test_range_tallies_merge_to_the_full_tally():
-    full = tally_terminals(6, 0, 64)
-    merged = tally_terminals(6, 0, 17) + tally_terminals(6, 17, 40) + tally_terminals(6, 40, 64)
-    assert merged == full
-    # chunked streaming inside exact_distribution gives the same counts
-    assert exact_distribution(7, chunk=5).counts == exact_distribution(7).counts
 
 
 def test_exact_distribution_chiral_mode():

@@ -120,6 +120,15 @@ def test_invalid_inputs():
         sample_pmf(6, 10, seed=1, workers=0)
 
 
+def test_seed_must_fit_64_bits():
+    # the seed is one 64-bit Philox key word; masking -1 or 2**64 into range
+    # would give another seed's report under this seed's name
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            sample_pmf(30, 10, seed=seed)
+    assert sample_pmf(30, 10, seed=2**64 - 1).sample_count == 10
+
+
 def test_report_json():
     report = sample_pmf(3, 100, seed=2)
     data = report.to_json()
