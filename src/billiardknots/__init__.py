@@ -9,7 +9,8 @@ Importing the package loads none of its modules: each public name, and
 each module named in _EXPORTS, is imported on first access (PEP 562).  So
 a CLI process compiles only the modules its command uses, and numpy, which
 only the sampler needs, loads only with the sampler's names.  The sampler's
-names stay out of __all__, so ``import *`` does not load numpy either.
+names stay out of __all__, so ``import *`` does not load numpy either.  The
+value types are typing.NamedTuple classes, not data classes, which load inspect.
 """
 
 import importlib

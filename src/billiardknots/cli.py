@@ -9,8 +9,6 @@ values exit 2).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from typing import Optional
@@ -65,8 +63,10 @@ def _mode(args) -> str:
 def _emit(args, payload: dict | list, text: str, rows: Optional[list] = None,
           header: Optional[tuple] = None) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
+        import csv
         writer = csv.writer(sys.stdout)
         if rows is None:
             for key in sorted(payload):
@@ -96,9 +96,8 @@ def _cmd_moves(args, guards) -> None:
         ],
     }
     lines = [f"{mv.kind}@{mv.position}: {mv.deleted_triple}" for mv in moves]
-    rows = [(mv.kind, mv.position, mv.deleted_triple) for mv in moves]
     _emit(args, payload, "\n".join(lines) if lines else "(no moves)",
-          rows, ("kind", "position", "triple"))
+          moves, ("kind", "position", "triple"))
 
 
 def _cmd_class(args, guards) -> None:
@@ -151,8 +150,7 @@ def _cmd_rate(args, guards) -> None:
     distributions.check_length(args.n)
     _check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
     report = distributions.alpha_rate(cls, args.n)
-    payload = {"word": args.word, "n": report.n, "log2_rate": report.log2_rate,
-               "target": report.target, "gap": report.gap}
+    payload = {"word": args.word, **report._asdict()}
     _emit(args, payload,
           f"log2 rate {report.log2_rate:.6f}  target {report.target:.6f}  "
           f"gap {report.gap:.6f}")
@@ -162,17 +160,13 @@ def _cmd_enumerate(args, guards) -> None:
     from . import oracle
 
     dist = oracle.exact_distribution(args.n, _mode(args), max_n=guards["enum_max_n"])
-    lines = [f"n={dist.n} total={dist.total}"]
-    for canonical in sorted(dist.counts, key=lambda u: (len(u), u)):
-        cls = dist.classes[canonical]
-        lines.append(
-            f"{canonical or '(empty)':>{max(args.n, 7)}}  count={dist.counts[canonical]}"
-            f"  c={cls.crossing_number}"
-        )
     rows = [
         (canonical, dist.counts[canonical], dist.classes[canonical].crossing_number)
         for canonical in sorted(dist.counts, key=lambda u: (len(u), u))
     ]
+    lines = [f"n={dist.n} total={dist.total}"]
+    lines += [f"{canonical or '(empty)':>{max(args.n, 7)}}  count={count}  c={c}"
+              for canonical, count, c in rows]
     _emit(args, dist.to_json(), "\n".join(lines), rows, ("canonical", "count", "c"))
 
 
@@ -215,7 +209,7 @@ def _cmd_trace(args, guards) -> None:
 def _cmd_sample(args, guards) -> None:
     from . import distributions, sampler  # numpy: only this command pays for it
 
-    distributions.check_length(args.n)  # an invalid length exits 2 before the guard
+    sampler.check_sample(args.n, args.count, args.seed, args.workers)  # before the guard
     # a step of the lockstep walk over the n letter columns has a fixed cost
     # near that of a thousand words, so a small count is counted as a batch
     label = f"n * max(count, {sampler._BATCH})"

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .counting import count_full, count_full_row
 from .words import UNKNOT_CLASS, KnotClass
@@ -35,18 +35,23 @@ def check_length(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ExactProb:
-    """A probability numerator / 2**exponent, kept unreduced."""
-
+class _ExactProbFields(NamedTuple):
     numerator: int
     exponent: int
 
-    def __post_init__(self):
-        if self.numerator < 0 or self.exponent < 0:
+
+class ExactProb(_ExactProbFields):
+    """A probability numerator / 2**exponent, kept unreduced."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, numerator: int, exponent: int):
+        if numerator < 0 or exponent < 0:
             raise ValueError("numerator and exponent must be nonnegative")
-        if self.numerator > (1 << self.exponent):
+        if numerator > (1 << exponent):
             raise ValueError("probability above 1")
+        return super().__new__(cls, numerator, exponent)
 
     @property
     def denominator(self) -> int:
@@ -81,8 +86,7 @@ def knot_probability(knot: KnotClass, n: int) -> ExactProb:
     return ExactProb(knot.multiplicity_r * count_full((n - ell) // 3, ell), n)
 
 
-@dataclass
-class CrossingPmf:
+class CrossingPmf(NamedTuple):
     """Exact crossing-number distribution of a random n-crossing diagram."""
 
     n: int
@@ -150,8 +154,7 @@ def _log2_int(x: int) -> float:
     return math.log2(x >> shift) + shift
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(NamedTuple):
     n: int
     log2_rate: float
     target: float
@@ -169,8 +172,7 @@ def alpha_rate(knot: KnotClass, n: int) -> AsymptoticReport:
     return AsymptoticReport(n, rate, LOG2_ALPHA, abs(rate - LOG2_ALPHA))
 
 
-@dataclass(frozen=True)
-class BetaSummary:
+class BetaSummary(NamedTuple):
     """Mode and concentration of the crossing-number pmf at length n."""
 
     n: int

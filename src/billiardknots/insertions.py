@@ -9,25 +9,29 @@ the word from that set, or reports that the set is infeasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .words import Word, check_word
 
 
-@dataclass(frozen=True)
-class LocationSet:
-    """Strictly increasing insertion locations, at most `capacity` of them."""
-
+class _LocationSetFields(NamedTuple):
     locations: tuple[int, ...]
     capacity: int
 
-    def __post_init__(self):
-        locs = self.locations
+
+class LocationSet(_LocationSetFields):
+    """Strictly increasing insertion locations, at most `capacity` of them."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
+
+    def __new__(cls, locations: tuple[int, ...], capacity: int):
+        locs = locations
         if any(x < 1 for x in locs) or any(a >= b for a, b in zip(locs, locs[1:])):
             raise ValueError(f"locations must be strictly increasing and >= 1: {locs}")
-        if self.capacity < 0 or len(locs) > self.capacity:
-            raise ValueError(f"{len(locs)} locations exceed capacity {self.capacity}")
+        if capacity < 0 or len(locs) > capacity:
+            raise ValueError(f"{len(locs)} locations exceed capacity {capacity}")
+        return super().__new__(cls, locations, capacity)
 
     def to_json(self) -> list[int]:
         return list(self.locations)
@@ -39,8 +43,7 @@ def _location_tuple(locations) -> tuple[int, ...]:
     return tuple(sorted(set(int(x) for x in locations)))
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     index: int
     in_locations: bool
     letter: str
@@ -55,8 +58,7 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class ReconstructionTrace:
+class ReconstructionTrace(NamedTuple):
     """Full step-by-step record of one reconstruction run."""
 
     base: Word

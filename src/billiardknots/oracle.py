@@ -9,8 +9,7 @@ resource guards.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .counting import binomial, count_full
 from .distributions import CrossingPmf, ExactProb, check_length, knot_probability
@@ -31,15 +30,14 @@ INTERNAL_ONLY = "internal-only"
 ALL = "all"
 
 
-@dataclass
-class ExactDist:
+class ExactDist(NamedTuple):
     """Knot counts over all 2**n words of length n."""
 
     n: int
     mode: str
     counts: dict[Word, int]  # canonical word of the class -> number of words
-    classes: dict[Word, KnotClass] = field(repr=False)
-    crossing_counts: dict[int, int] = field(default_factory=dict)
+    classes: dict[Word, KnotClass]
+    crossing_counts: dict[int, int]  # crossing number -> number of words
 
     @property
     def total(self) -> int:

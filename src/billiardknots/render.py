@@ -14,7 +14,7 @@ crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .words import Word, check_word
 
@@ -25,8 +25,7 @@ _SCALE = 40  # pixels per table unit
 _MARGIN = 60  # padding around the table, in pixels
 
 
-@dataclass(frozen=True)
-class BilliardGeometry:
+class BilliardGeometry(NamedTuple):
     """Polyline and crossing points of the trajectory in a 3 x width table."""
 
     width: int  # table width b = n + 1

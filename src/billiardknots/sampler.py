@@ -16,9 +16,9 @@ n = 300, where the per-word Python stack pass it replaced managed about
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,8 +30,7 @@ _BATCH = 4096
 _BLOCK_CELLS = 1 << 22
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(NamedTuple):
     n: int
     sample_count: int
     seed: int
@@ -146,6 +145,20 @@ def _tally(histogram: Counter, draws: list, block_rows: int) -> None:
         histogram.update(dict(zip(values.tolist(), counts.tolist())))
 
 
+def check_sample(n: int, count: int, seed: int, workers: int) -> tuple[int, int, int]:
+    """Validate sample_pmf's arguments; return count, seed and workers as ints."""
+    check_length(n)
+    # operator.index raises TypeError on a float, which numpy would truncate
+    count, seed, workers = map(operator.index, (count, seed, workers))
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    return count, seed, workers
+
+
 def sample_pmf(
     n: int,
     count: int,
@@ -163,13 +176,7 @@ def sample_pmf(
     (n, count, seed, workers).  The seed is one 64-bit Philox key word, so
     it must lie in 0 .. 2**64 - 1.
     """
-    check_length(n)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
+    count, seed, workers = check_sample(n, count, seed, workers)
 
     histogram: Counter[int] = Counter()
     block_rows = max(1, min(_BATCH, _BLOCK_CELLS // max(n, 1)))

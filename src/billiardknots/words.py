@@ -11,7 +11,7 @@ empty word is "".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Word = str
 
@@ -51,8 +51,7 @@ def check_word(w: Word) -> Word:
     return w
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
+class RunDecomposition(NamedTuple):
     """Maximal runs of a word: starting bit plus the run lengths in order."""
 
     first_bit: int
@@ -114,8 +113,7 @@ def is_reduced(w: Word) -> str:
     return INTERNAL_REDUCED_ONLY
 
 
-@dataclass(frozen=True)
-class ReductionMove:
+class ReductionMove(NamedTuple):
     """Deletion of one triple. position is the 1-based index of its first letter."""
 
     kind: str
@@ -240,8 +238,7 @@ def resize(w: Word) -> Word:
     return RunDecomposition(r.first_bit, (1,) + inner + (1,)).word()
 
 
-@dataclass(frozen=True)
-class KnotClass:
+class KnotClass(NamedTuple):
     """A knot, as the symmetry orbit of its reduced word representations.
 
     ell0 and ell1 are the two reduced lengths (congruent to 0 and 1 mod 3),

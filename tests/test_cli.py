@@ -364,6 +364,16 @@ def test_sample_seed_outside_64_bits_is_exit_2(capsys):
     assert code == 0
 
 
+def test_sample_input_checked_before_the_guard(capsys):
+    # 300 * 10**7 letters would trip the letters guard; invalid input exits 2 first
+    for extra, message in ((("--seed", "-1"), "seed must be in"),
+                           (("--seed", "1", "--workers", "0"), "workers must be")):
+        code, out, err = run(capsys, "sample", "--n", "300", "--count", "10000000",
+                             *extra)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 def test_invalid_word_is_exit_2(capsys):
     code, _, err = run(capsys, "reduce", "10x")
     assert code == 2
@@ -396,12 +406,19 @@ def test_only_the_sampler_loads_numpy(tmp_path):
             ["trace", "101", "--m", "2", "--locations", "1,5"],
             ["render", "101", "--out", sys.argv[1]],
             ["selfcheck"],
+            ["pmf", "--n", "6", "--format", "json"],
+            ["moves", "10100", "--format", "csv"],
         ):
             assert main(argv) == 0, argv
             assert "numpy" not in sys.modules, argv
+            # value types are NamedTuples: no dataclasses, and so no inspect
+            assert "dataclasses" not in sys.modules, argv
+            assert "inspect" not in sys.modules, argv
 
-        from billiardknots import SampleReport, sample_pmf, tv_distance
+        assert main(["sample", "--n", "30", "--count", "100", "--seed", "1"]) == 0
         assert "numpy" in sys.modules
+        assert "dataclasses" not in sys.modules  # numpy itself imports inspect
+        from billiardknots import SampleReport, sample_pmf, tv_distance
 
         import billiardknots
         try:

@@ -35,11 +35,42 @@ def test_exact_prob_representation():
     assert float(p) == 18 / 64
 
 
-def test_exact_prob_validation():
-    with pytest.raises(ValueError):
-        ExactProb(-1, 3)
-    with pytest.raises(ValueError):
-        ExactProb(9, 3)  # above 1
+@pytest.mark.parametrize("numerator, exponent, message", [
+    (-1, 3, "nonnegative"),
+    (1, -1, "nonnegative"),
+    (9, 3, "above 1"),
+])
+def test_exact_prob_validation(numerator, exponent, message):
+    with pytest.raises(ValueError, match=message):
+        ExactProb(numerator, exponent)
+    with pytest.raises(ValueError, match=message):
+        ExactProb(numerator=numerator, exponent=exponent)
+
+
+def test_exact_prob_replace_validates():
+    p = ExactProb(3, 2)
+    assert p._replace(numerator=4) == ExactProb(4, 2)
+    with pytest.raises(ValueError, match="above 1"):
+        p._replace(numerator=5)
+
+
+def test_value_objects_are_immutable():
+    p = ExactProb(3, 2)
+    with pytest.raises(AttributeError):
+        p.numerator = 1
+    with pytest.raises(AttributeError):
+        p.extra = 1
+
+
+def test_value_objects_are_named_tuples():
+    p = ExactProb(3, 2)
+    assert repr(p) == "ExactProb(numerator=3, exponent=2)"
+    assert p == (3, 2) and tuple(p) == (3, 2)
+    report = alpha_rate(TREFOIL, 99)
+    assert report._fields == ("n", "log2_rate", "target", "gap")
+    pmf = crossing_pmf(6)
+    with pytest.raises(AttributeError):  # no longer a mutable dataclass
+        pmf.n = 7
 
 
 # ---------------------------------------------------------------- knot probability

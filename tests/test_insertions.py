@@ -72,13 +72,32 @@ def test_reconstruct_accepts_location_set_objects():
     assert reconstruct("101", 2, loc).word == "000111101"
 
 
-def test_location_set_validation():
-    with pytest.raises(ValueError):
-        LocationSet((5, 1), 2)
-    with pytest.raises(ValueError):
-        LocationSet((0, 1), 2)
-    with pytest.raises(ValueError):
-        LocationSet((1, 2, 3), 2)
+@pytest.mark.parametrize("locations, capacity, message", [
+    ((0, 1), 2, "strictly increasing and >= 1"),
+    ((5, 1), 2, "strictly increasing and >= 1"),
+    ((2, 2), 2, "strictly increasing and >= 1"),
+    ((1, 2, 3), 2, "3 locations exceed capacity 2"),
+    ((), -1, "0 locations exceed capacity -1"),
+])
+def test_location_set_validation(locations, capacity, message):
+    with pytest.raises(ValueError, match=message):
+        LocationSet(locations, capacity)
+    with pytest.raises(ValueError, match=message):
+        LocationSet(locations=locations, capacity=capacity)
+
+
+def test_location_set_is_immutable():
+    loc = LocationSet((1, 5), 2)
+    assert repr(loc) == "LocationSet(locations=(1, 5), capacity=2)"
+    with pytest.raises(AttributeError):
+        loc.capacity = 1
+
+
+def test_location_set_replace_validates():
+    loc = LocationSet((1, 5), 2)
+    assert loc._replace(capacity=3) == LocationSet((1, 5), 3)
+    with pytest.raises(ValueError, match="exceed capacity 1"):
+        loc._replace(capacity=1)
 
 
 # ---------------------------------------------------------------- location map

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from billiardknots.distributions import BETA, crossing_pmf
@@ -127,6 +128,18 @@ def test_seed_must_fit_64_bits():
         with pytest.raises(ValueError, match="seed"):
             sample_pmf(30, 10, seed=seed)
     assert sample_pmf(30, 10, seed=2**64 - 1).sample_count == 10
+
+
+def test_count_seed_and_workers_must_be_integers():
+    # numpy would truncate a float seed: 1.5 drew seed 1's words under the name 1.5
+    for kwargs in ({"seed": 1.5}, {"seed": 1.0}, {"seed": 1, "workers": 2.0}):
+        with pytest.raises(TypeError):
+            sample_pmf(30, 500, **kwargs)
+    with pytest.raises(TypeError):
+        sample_pmf(30, 500.0, seed=1)
+    report = sample_pmf(30, 500, seed=np.uint64(1), workers=np.int64(2))
+    assert report == sample_pmf(30, 500, seed=1, workers=2)
+    assert type(report.seed) is int and type(report.workers) is int
 
 
 def test_report_json():
