@@ -21,21 +21,28 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-@lru_cache(maxsize=64)
 def binomial_lt(n: int, m: int) -> int:
     """Partial row sum C(n,0) + C(n,1) + ... + C(n,m-1); 0 for m <= 0.
 
-    One running pass along row n (_row_pass), so each term costs a small
-    multiply and divide instead of a fresh binomial.  The small cache
-    serves callers that ask for the same sum for several knots at one
-    length.
+    Read from _binomial_and_below, whose cache it shares with count_full
+    and count_internal.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m <= 0:
         return 0
-    _, below = next(islice(_row_pass(n), min(m, n + 1), None))
-    return below
+    return _binomial_and_below(n, m)[1]
+
+
+@lru_cache(maxsize=64)
+def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
+    """(C(n, m), binomial_lt(n, m)) for n, m >= 0, from one _row_pass.
+
+    The running pass reaches C(n, m) on its way to the partial sum, so no
+    caller needs a fresh binomial.  The small cache serves callers that
+    ask for the same pair for several knots at one length.
+    """
+    return next(islice(_row_pass(n), min(m, n + 1), None))
 
 
 def _row_pass(n: int):
@@ -75,8 +82,8 @@ def count_internal(ell: int, m: int) -> int:
     """
     if ell < 0 or m < 0:
         raise ValueError("ell and m must be nonnegative")
-    n = 3 * m + ell
-    return binomial(n, m) - binomial_lt(n, m)
+    binom, below = _binomial_and_below(3 * m + ell, m)
+    return binom - below
 
 
 def count_full(m: int, ell: int) -> int:
@@ -89,8 +96,7 @@ def count_full(m: int, ell: int) -> int:
     """
     if ell < 0 or m < 0:
         raise ValueError("ell and m must be nonnegative")
-    n = 3 * m + ell
-    return _full_count(m, ell, binomial(n, m), binomial_lt(n, m))
+    return _full_count(m, ell, *_binomial_and_below(3 * m + ell, m))
 
 
 def count_full_row(n: int) -> list[int]:

@@ -9,6 +9,7 @@ the word from that set, or reports that the set is infeasible.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Optional
 
 from .words import Word, check_word
@@ -40,7 +41,8 @@ class LocationSet(_LocationSetFields):
 def _location_tuple(locations) -> tuple[int, ...]:
     if isinstance(locations, LocationSet):
         return locations.locations
-    return tuple(sorted(set(int(x) for x in locations)))
+    # operator.index rejects 1.5 and "2", which int() would turn into 1 and 2
+    return tuple(sorted(set(map(operator.index, locations))))
 
 
 class TraceStep(NamedTuple):
@@ -104,18 +106,17 @@ def reconstruct(w: Word, m: int, locations) -> ReconstructionTrace:
         raise ValueError(f"locations {locs} outside 1..{size}")
 
     wanted = set(locs)
-    stack = list(reversed(w))  # stack[-1] is the top
+    stack = w  # top first, as every TraceStep records it
     out = []
     steps = []
     for i in range(1, size + 1):
         hit = i in wanted
-        if hit:
-            top = stack[-1] if stack else "0"
-            other = "1" if top == "0" else "0"
-            stack += [other, other, other]
-        letter = stack.pop() if stack else "0"
+        if hit:  # an empty stack reads 0, so three 1s go on it
+            stack = ("000" if stack[:1] == "1" else "111") + stack
+        letter = stack[:1] or "0"
+        stack = stack[1:]
         out.append(letter)
-        steps.append(TraceStep(i, hit, letter, "".join(reversed(stack))))
+        steps.append(TraceStep(i, hit, letter, stack))
     word = "".join(out) if not stack else None
     return ReconstructionTrace(w, m, locs, tuple(steps), word)
 

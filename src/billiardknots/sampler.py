@@ -68,7 +68,7 @@ def row_crossings(rows: np.ndarray) -> np.ndarray:
 
     Equals words.crossing_number of each row read as a word.  The letter
     columns are pushed in lockstep onto one run-length stack per row (the
-    internal moves of words.reduce_runs, one letter at a time: a run that
+    internal moves of words.reduce's letter stack, kept as runs: a run that
     reaches three letters is popped), then the external prefix and suffix
     moves trim both ends.
     """

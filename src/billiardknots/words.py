@@ -11,6 +11,7 @@ empty word is "".
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 Word = str
@@ -150,64 +151,46 @@ def apply_move(w: Word, mv: ReductionMove) -> Word:
 
 
 def reduce(w: Word) -> Word:
-    """Fully reduce w, in time linear in len(w).
+    """Fully reduce w, in time linear in len(w), on one letter stack.
 
-    Runs reduce_runs on the runs of w and spells the result.  The terminal
-    equals oracle.reduce_by_moves(w), the reference that applies the
-    leftmost internal move if one exists, then the prefix move, then the
-    suffix move.  It has no moves left and its length is congruent to
-    len(w) mod 3.
+    A letter that would make three equal letters on top deletes the pair
+    under it instead (an internal move).  The external prefix and suffix
+    moves then trim the ends of the stack by index.  The terminal equals
+    oracle.reduce_by_moves(w), which applies the leftmost internal move
+    first, then the prefix move, then the suffix move; it has no moves
+    left and its length is congruent to len(w) mod 3.
     """
-    if not check_word(w):
-        return w
-    return _spell(*reduce_runs(int(w[0]), _run_lengths(w)))
+    stack = ["", ""]  # two sentinels no letter equals, so a top pair always exists
+    for ch in check_word(w):
+        if stack[-1] == ch == stack[-2]:
+            del stack[-2:]
+        else:
+            stack.append(ch)
+    start, end = 2, len(stack)
+    while end - start >= 3 and stack[start] == stack[start + 1]:
+        start += 3
+    while end - start >= 3 and stack[end - 1] == stack[end - 2]:
+        end -= 3
+    return "".join(stack[start:end])
 
 
 def reduce_runs(
     first_bit: int, run_lengths: list[int] | tuple[int, ...]
-) -> tuple[int, tuple[int, ...]]:
+) -> RunDecomposition:
     """Reduce a word given as run lengths, in time linear in the run count.
 
-    Returns the run decomposition of the terminal word.  Produces exactly
-    the same terminal as the move-by-move reference oracle.reduce_by_moves;
-    internal deletions are order-independent as words, and the external
-    stages are applied with the same priority (prefix before suffix).
+    A thin wrapper over reduce(): each run is spelled with its length mod 3
+    (itself a sequence of internal moves), and the runs of the terminal are
+    returned.  The first bit must be 0 or 1 and the lengths positive
+    integers; a float raises TypeError instead of being truncated.
     """
-    # internal moves: one left-to-right pass with a run stack
-    stack: list[list[int]] = []  # [bit, length], alternating bits
-    bit = int(first_bit)
-    for n in run_lengths:
-        if n <= 0:
-            raise ValueError("run lengths must be positive")
-        if stack and stack[-1][0] == bit:
-            stack[-1][1] += n
-        else:
-            stack.append([bit, n])
-        if stack[-1][1] >= 3:
-            stack[-1][1] %= 3
-            if stack[-1][1] == 0:
-                stack.pop()
-        bit ^= 1
-
-    # external prefix moves: first run "00"/"11" followed by a different letter
-    start = 0
-    end = len(stack)
-    while end - start >= 2 and stack[start][1] == 2:
-        start += 1
-        stack[start][1] -= 1
-        if stack[start][1] == 0:
-            start += 1
-    # external suffix moves, symmetric
-    while end - start >= 2 and stack[end - 1][1] == 2:
-        end -= 1
-        stack[end - 1][1] -= 1
-        if stack[end - 1][1] == 0:
-            end -= 1
-
-    trimmed = stack[start:end]
-    if not trimmed:
-        return 0, ()
-    return trimmed[0][0], tuple(n for _, n in trimmed)
+    bit = operator.index(first_bit)
+    if bit not in (0, 1):
+        raise ValueError(f"first bit must be 0 or 1, got {first_bit!r}")
+    lengths = [operator.index(n) for n in run_lengths]
+    if any(n <= 0 for n in lengths):
+        raise ValueError("run lengths must be positive")
+    return runs(reduce(_spell(bit, [n % 3 for n in lengths])))
 
 
 def complement(w: Word) -> Word:
@@ -233,9 +216,13 @@ def resize(w: Word) -> Word:
         return ""
     if is_reduced(w) != REDUCED:
         raise ValueError(f"resize needs a reduced word, got {w!r}")
-    r = runs(w)
-    inner = tuple(3 - n for n in r.run_lengths[1:-1])
-    return RunDecomposition(r.first_bit, (1,) + inner + (1,)).word()
+    return _resized(w)
+
+
+def _resized(w: Word) -> Word:
+    """resize() of a word already known to be reduced."""
+    inner = _run_lengths(w)[1:-1]
+    return _spell(int(w[0]), [1, *(3 - n for n in inner), 1])
 
 
 class KnotClass(NamedTuple):
@@ -279,7 +266,10 @@ def symmetry_orbit(w: Word, mode: str = MIRROR_IDENTIFIED) -> frozenset[Word]:
 
     Mirror-identified uses complement, reverse and resize.  Chiral mode uses
     only the chirality-preserving operations: reverse, and complement
-    composed with resize (which still toggles the length class).
+    composed with resize (which still toggles the length class).  These
+    commute, so the orbit is spelled from the terminal's runs (b, L) and
+    their resize L': (b, L), (1-b, L), (b, L'), (1-b, L') when mirrors are
+    identified, (b, L) and (1-b, L') when chiral, each also reversed.
     """
     _check_mode(mode)
     t = reduce(w)
@@ -290,20 +280,13 @@ def symmetry_orbit(w: Word, mode: str = MIRROR_IDENTIFIED) -> frozenset[Word]:
             f"{w!r} reduces to {t!r} of length 2 mod 3; "
             "the underlying trajectory is not a knot"
         )
+    resized = _resized(t)
     if mode == MIRROR_IDENTIFIED:
-        generators = (complement, reverse, resize)
+        forms = [t, t.translate(_COMPLEMENT_TABLE), resized,
+                 resized.translate(_COMPLEMENT_TABLE)]
     else:
-        generators = (reverse, lambda u: complement(resize(u)))
-    orbit = {t}
-    frontier = [t]
-    while frontier:
-        u = frontier.pop()
-        for g in generators:
-            v = g(u)
-            if v not in orbit:
-                orbit.add(v)
-                frontier.append(v)
-    return frozenset(orbit)
+        forms = [t, resized.translate(_COMPLEMENT_TABLE)]
+    return frozenset(forms + [u[::-1] for u in forms])
 
 
 def knot_class(w: Word, mode: str = MIRROR_IDENTIFIED) -> KnotClass:
@@ -339,7 +322,5 @@ def crossing_number(w: Word) -> int:
     A terminal of at most one run is an unknot leftover (one of
     UNKNOT_FORMS) and has crossing number 0.
     """
-    if not check_word(w):
-        return 0
-    count = len(reduce_runs(int(w[0]), _run_lengths(w))[1])
+    count = runs(reduce(w)).count
     return count if count > 1 else 0

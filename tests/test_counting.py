@@ -4,6 +4,7 @@ import pytest
 
 from billiardknots import selfcheck
 from billiardknots.counting import (
+    _binomial_and_below,
     binomial,
     binomial_lt,
     count_full,
@@ -44,7 +45,8 @@ def test_binomial_lt():
     for n in range(30):
         for m in range(-1, n + 3):
             assert binomial_lt(n, m) == sum(binomial(n, k) for k in range(m))
-    assert binomial_lt.cache_info().maxsize == 64  # bounded, not one entry per call
+    # the cache sits on the pair that binomial_lt, count_full and count_internal share
+    assert _binomial_and_below.cache_info().maxsize == 64  # bounded, not one entry per call
 
 
 def test_feasible_count_examples():

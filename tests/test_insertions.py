@@ -67,6 +67,15 @@ def test_reconstruct_precondition_errors():
         reconstruct("101", -1, ())
 
 
+@pytest.mark.parametrize("locations", [[1.5], [2.9], [2.0], ["2"], [1, "3"]])
+def test_locations_must_be_integers(locations):
+    # int() would read 1.5 as location 1, 2.9 as 2 and parse "2"
+    with pytest.raises(TypeError):
+        reconstruct("01", 1, locations)
+    with pytest.raises(TypeError):
+        is_feasible(4, locations)
+
+
 def test_reconstruct_accepts_location_set_objects():
     loc = LocationSet((1, 5), 2)
     assert reconstruct("101", 2, loc).word == "000111101"

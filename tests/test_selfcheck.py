@@ -14,6 +14,7 @@ from billiardknots.cli import main
 
 # the originals, which the stand-ins call once the module attribute is patched
 binomial_lt, count_full = counting.binomial_lt, counting.count_full
+binomial_and_below = counting._binomial_and_below
 count_internal, count_full_row = counting.count_internal, counting.count_full_row
 knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
 external_moves = sampler._external_moves
@@ -21,6 +22,16 @@ external_moves = sampler._external_moves
 
 def _bump_first(row):  # one wrong entry, the count that feeds the mass at c = n
     return [row[0] + 1, *row[1:]]
+
+
+def _bump_binomial_at_3(n, m):  # C(n, 3) one too high, the partial sum right
+    binom, below = binomial_and_below(n, m)
+    return binom + (m == 3), below
+
+
+def _orbit_without_resized_forms(w, mode):  # only the terminal's own length
+    orbit = symmetry_orbit(w, mode)
+    return frozenset(u for u in orbit if len(u) == len(words.reduce(w)))
 
 
 def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
@@ -35,6 +46,7 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
      lambda w: {"101", "010"}),
     (lambda: sc.check_counting(6), counting, "binomial_lt",
      lambda n, m: binomial_lt(n, m) + (m == 3)),
+    (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_binomial_at_3),
     (lambda: sc.check_count_full_summation(4), counting, "count_full",
      lambda m, ell: count_full(m, ell) + (m == 2)),
     (lambda: sc.check_insertion_counts(2), counting, "count_internal",
@@ -49,6 +61,8 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
     # "010" are mirror images, so different chiral classes
     (lambda: sc.check_distribution((3,), (words.CHIRAL,)), oracle, "symmetry_orbit",
      lambda w, mode: symmetry_orbit(w, mode) | {"101"}),
+    (lambda: sc.check_distribution((3, 4)), words, "symmetry_orbit",
+     _orbit_without_resized_forms),
     (lambda: sc.check_normalization(7), distributions, "count_full",
      lambda m, ell: count_full(m, ell) + (m == 1)),
     (lambda: sc.check_distribution((6,), (words.CHIRAL,)), distributions,

@@ -1,14 +1,19 @@
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from billiardknots import selfcheck
 from billiardknots.oracle import all_words, reduce_by_moves
+from billiardknots.sampler import row_crossings
 from billiardknots.words import (
     CHIRAL,
     EXTERNAL_PREFIX,
     EXTERNAL_SUFFIX,
     INTERNAL,
     INTERNAL_REDUCED_ONLY,
+    MIRROR_IDENTIFIED,
     NOT_INTERNAL_REDUCED,
     REDUCED,
     UNKNOT_CLASS,
@@ -165,6 +170,38 @@ def test_reduce_runs_agrees_exhaustively():
     assert ok, detail
 
 
+def test_reduce_runs_rejects_invalid_input():
+    with pytest.raises(ValueError, match="first bit"):
+        reduce_runs(2, (1, 1, 1))
+    with pytest.raises(ValueError, match="first bit"):
+        reduce_runs(-1, (1,))
+    with pytest.raises(TypeError):
+        reduce_runs(1, (1.5, 1))
+    with pytest.raises(TypeError):
+        reduce_runs(1.0, (1, 1))
+    with pytest.raises(ValueError, match="positive"):
+        reduce_runs(0, (1, 0, 1))
+
+
+def test_reduce_runs_spells_long_runs_mod_3():
+    assert reduce_runs(0, (10**9,)) == (0, (1,))  # one letter, not 10**9
+    assert reduce_runs(1, (10**18, 2, 4, 10**12 + 2)) == (1, (1, 2, 1))
+
+
+# the eight triples and single letters, so internal deletions nest deeply
+stacked_words = st.lists(
+    st.sampled_from(["".join(t) for t in product("01", repeat=3)] + ["0", "1"]),
+    max_size=150,
+).map("".join)
+
+
+@given(stacked_words)
+def test_reduce_on_deep_stacks(w):
+    assert reduce(w) == reduce_by_moves(w)
+    row = np.array([[int(ch) for ch in w]], dtype=np.uint8)
+    assert crossing_number(w) == row_crossings(row)[0]
+
+
 # ---------------------------------------------------------------- symmetries
 
 def test_symmetry_examples():
@@ -200,6 +237,28 @@ def test_symmetry_involutions(w):
     assert reverse(reverse(w)) == w
     assert resize(resize(w)) == w
     assert is_reduced(resize(w)) == REDUCED
+
+
+def _closure(w, mode):
+    if mode == CHIRAL:
+        generators = (reverse, lambda u: complement(resize(u)))
+    else:
+        generators = (complement, reverse, resize)
+    orbit, frontier = {w}, [w]
+    while frontier:
+        u = frontier.pop()
+        for g in generators:
+            v = g(u)
+            if v not in orbit:
+                orbit.add(v)
+                frontier.append(v)
+    return orbit
+
+
+@pytest.mark.parametrize("mode", [MIRROR_IDENTIFIED, CHIRAL])
+def test_symmetry_orbit_is_the_closure_under_the_generators(mode):
+    for w in reduced_knot_words(16):
+        assert symmetry_orbit(w, mode) == _closure(w, mode), w
 
 
 def test_resize_toggles_length_class():
