@@ -1,0 +1,30 @@
+"""Pinned CLI stdout: exit code and sha256 of stdout for a fixed set of commands.
+
+cli_pins.json lists about fifty argv: every command in every --format,
+sample at two seeds with --workers 1 and 4, render with a relative --out,
+selfcheck, and inputs that exit 2 (invalid) or 3 (a resource guard).
+Each pin was made by running the argv through cli.main in-process, in an
+empty working directory, at commit eb9af95 (before the input rules moved
+into words.check_length and words.check_guard), and hashing what it
+printed to stdout.  Nothing here rewrites the pins: a change that means
+to alter a pinned stdout edits the file by hand and says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from billiardknots.cli import main
+
+PINS = json.loads(Path(__file__).with_name("cli_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[" ".join(p["argv"]) for p in PINS])
+def test_cli_stdout_is_pinned(pin, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # render writes its --out relative to here
+    code = main(list(pin["argv"]))
+    out = capsys.readouterr().out
+    assert code == pin["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == pin["stdout_sha256"]
