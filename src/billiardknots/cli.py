@@ -110,19 +110,12 @@ def _cmd_class(args, guards) -> None:
     _emit(args, cls.to_json(), text)
 
 
-def _check_guard(label: str, value: int, limit: int, command: str) -> None:
-    if value > limit:
-        raise words.ResourceGuardError(
-            f"{label}={value} exceeds the {command} guard {limit}"
-        )
-
-
 def _cmd_prob(args, guards) -> None:
     from . import distributions
 
     cls = words.knot_class(args.word, _mode(args))
-    distributions.check_length(args.n)  # an invalid length exits 2 before the guard
-    _check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
+    words.check_length(args.n)  # an invalid length exits 2 before the guard
+    words.check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
     p = distributions.knot_probability(cls, args.n)
     payload = {"word": args.word, "n": args.n, "canonical": cls.canonical,
                "probability": str(p), "float": float(p)}
@@ -132,8 +125,8 @@ def _cmd_prob(args, guards) -> None:
 def _cmd_pmf(args, guards) -> None:
     from . import distributions
 
-    distributions.check_length(args.n)
-    _check_guard("n", args.n, guards["pmf_max_n"], "pmf")
+    words.check_length(args.n)
+    words.check_guard("n", args.n, guards["pmf_max_n"], "pmf")
     pmf = distributions.crossing_pmf(args.n)
     lines = [f"c=0 (unknot): {pmf.unknot_mass} = {float(pmf.unknot_mass):.6g}"]
     for c in sorted(pmf.masses):
@@ -147,8 +140,8 @@ def _cmd_rate(args, guards) -> None:
     from . import distributions
 
     cls = words.knot_class(args.word, _mode(args))
-    distributions.check_length(args.n)
-    _check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
+    words.check_length(args.n)
+    words.check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
     report = distributions.alpha_rate(cls, args.n)
     payload = {"word": args.word, **report._asdict()}
     _emit(args, payload,
@@ -191,13 +184,14 @@ def _cmd_trace(args, guards) -> None:
     locs = tuple(int(x) for x in args.locations.split(",") if x.strip() != "")
     words.check_word(args.word)  # an invalid word exits 2 before the guard
     # one stack string per step: memory and output grow as the square
-    _check_guard("len(word) + 3m", len(args.word) + 3 * args.m,
-                 guards["trace_max_len"], "trace")
+    words.check_guard("len(word) + 3m", len(args.word) + 3 * args.m,
+                      guards["trace_max_len"], "trace")
     trace = insertions.reconstruct(args.word, args.m, locs)
     width = max(len(s.stack) for s in trace.steps) if trace.steps else 1
     lines = [f"{'i':>3} | L | {'word':<{len(trace.steps)}} | stack"]
+    written = ""  # the output letters so far, this step's included
     for step in trace.steps:
-        written = "".join(s.letter for s in trace.steps[: step.index])
+        written += step.letter
         lines.append(
             f"{step.index:>3} | {'x' if step.in_locations else ' '} | "
             f"{written:<{len(trace.steps)}} | {step.stack:>{width}}"
@@ -218,7 +212,7 @@ def _cmd_sample(args, guards) -> None:
     if drawing > 1:  # the batch already pays for the first worker
         label += f" + {_SAMPLE_WORKER_LETTERS} * (min(workers, count) - 1)"
         letters += _SAMPLE_WORKER_LETTERS * (drawing - 1)
-    _check_guard(label, letters, guards["sample_max_letters"], "sample")
+    words.check_guard(label, letters, guards["sample_max_letters"], "sample")
     exact = None
     if args.n <= _SAMPLE_EXACT_LIMIT:
         exact = distributions.crossing_pmf(args.n)
@@ -238,8 +232,8 @@ def _cmd_render(args, guards) -> None:
     from . import render
 
     # an invalid word or length exits 2 before the guard
-    n = render.check_length(len(words.check_word(args.word)))
-    _check_guard("len(word)", n, guards["render_max_len"], "render")
+    n = words.check_length(len(words.check_word(args.word)))
+    words.check_guard("len(word)", n, guards["render_max_len"], "render")
     svg = render.render_svg(args.word, flip_crossings=args.flip_crossings)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .counting import count_full, count_full_row
-from .words import UNKNOT_CLASS, KnotClass
+from .words import UNKNOT_CLASS, KnotClass, check_length
 
 #: per-crossing decay rate of any fixed knot's probability
 ALPHA = (27 / 32) ** (1 / 3)
@@ -26,13 +26,6 @@ BETA = (math.sqrt(5) - 1) / 4
 #: critical point of the exponent function phi
 X0 = BETA
 Y0 = (math.sqrt(5) - 2) / 2
-
-
-def check_length(n: int) -> int:
-    """Reject lengths with n == 2 mod 3 (table width not coprime to 3)."""
-    if n < 0 or n % 3 == 2:
-        raise ValueError(f"invalid length {n}: need n >= 0 with n = 0 or 1 mod 3")
-    return n
 
 
 class _ExactProbFields(NamedTuple):

@@ -38,11 +38,16 @@ class LocationSet(_LocationSetFields):
         return list(self.locations)
 
 
-def _location_tuple(locations) -> tuple[int, ...]:
+def _location_tuple(locations, size: int) -> tuple[int, ...]:
+    """The distinct locations in increasing order; each must lie in 1..size."""
     if isinstance(locations, LocationSet):
-        return locations.locations
-    # operator.index rejects 1.5 and "2", which int() would turn into 1 and 2
-    return tuple(sorted(set(map(operator.index, locations))))
+        locs = locations.locations
+    else:
+        # operator.index rejects 1.5 and "2", which int() would turn into 1 and 2
+        locs = tuple(sorted(set(map(operator.index, locations))))
+    if locs and (locs[0] < 1 or locs[-1] > size):
+        raise ValueError(f"locations {locs} outside 1..{size}")
+    return locs
 
 
 class TraceStep(NamedTuple):
@@ -98,12 +103,10 @@ def reconstruct(w: Word, m: int, locations) -> ReconstructionTrace:
     check_word(w)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    locs = _location_tuple(locations)
     size = 3 * m + len(w)
+    locs = _location_tuple(locations, size)
     if len(locs) > m:
         raise ValueError(f"{len(locs)} locations exceed m={m}")
-    if locs and (locs[0] < 1 or locs[-1] > size):
-        raise ValueError(f"locations {locs} outside 1..{size}")
 
     wanted = set(locs)
     stack = w  # top first, as every TraceStep records it
@@ -161,9 +164,7 @@ def is_feasible(size: int, locations) -> bool:
     """
     if size < 1:
         raise ValueError("size must be positive")
-    locs = set(_location_tuple(locations))
-    if locs and (min(locs) < 1 or max(locs) > size):
-        raise ValueError(f"locations outside 1..{size}: {sorted(locs)}")
+    locs = set(_location_tuple(locations, size))
     inside = outside = 0
     for t in range(size, 0, -1):
         if t in locs:

@@ -12,14 +12,16 @@ from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .counting import binomial, count_full
-from .distributions import CrossingPmf, ExactProb, check_length, knot_probability
+from .distributions import CrossingPmf, ExactProb, knot_probability
 from .words import (
     MIRROR_IDENTIFIED,
     UNKNOT_CLASS,
     KnotClass,
-    ResourceGuardError,
+    ResourceGuardError,  # re-exported: callers catch the guards from here
     Word,
     available_moves,
+    check_guard,
+    check_length,
     check_word,
     knot_class,
     reduce,
@@ -98,21 +100,14 @@ def crossing_pmf_by_double_sum(n: int) -> CrossingPmf:
     return CrossingPmf(n, knot_probability(UNKNOT_CLASS, n), masses)
 
 
-def tally_terminals(n: int) -> Counter:
-    """Terminal-word counts over all 2**n words of length n."""
-    return Counter(map(reduce, all_words(n)))
-
-
-def terminal_counts(n: int, *, max_n: int = 22) -> Counter:
-    """tally_terminals(n) behind the length check and the enumeration guard.
+def tally_terminals(n: int, *, max_n: int = 22) -> Counter:
+    """Terminal-word counts over all 2**n words of a valid length n <= max_n.
 
     Words are streamed, so only the (small) set of distinct terminal words
     is ever held at once.
     """
-    check_length(n)
-    if n > max_n:
-        raise ResourceGuardError(f"n={n} exceeds the enumeration guard {max_n}")
-    return tally_terminals(n)
+    check_guard("n", check_length(n), max_n, "enumeration")
+    return Counter(map(reduce, all_words(n)))
 
 
 def classify_terminals(
@@ -144,7 +139,7 @@ def exact_distribution(
     n: int, mode: str = MIRROR_IDENTIFIED, *, max_n: int = 22
 ) -> ExactDist:
     """Reduce every one of the 2**n words and tally the resulting knots."""
-    return classify_terminals(n, terminal_counts(n, max_n=max_n), mode)
+    return classify_terminals(n, tally_terminals(n, max_n=max_n), mode)
 
 
 def enumerate_insertions(
@@ -166,11 +161,8 @@ def enumerate_insertions(
         raise ValueError(f"unknown scope {scope!r}")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if len(w) > max_len or m > max_insertions:
-        raise ResourceGuardError(
-            f"enumerate_insertions({len(w)=}, {m=}) exceeds guard "
-            f"({max_len=}, {max_insertions=})"
-        )
+    check_guard("len(word)", len(w), max_len, "insertions")
+    check_guard("m", m, max_insertions, "insertions")
     level = {w}
     for _ in range(m):
         nxt = set()
@@ -196,8 +188,7 @@ def all_terminal_words(w: Word, *, max_len: int = 13) -> set[Word]:
     unknot leftovers.
     """
     check_word(w)
-    if len(w) > max_len:
-        raise ResourceGuardError(f"word length {len(w)} exceeds guard {max_len}")
+    check_guard("len(word)", len(w), max_len, "confluence")
     memo: dict[Word, frozenset] = {}
 
     def explore(u: Word) -> frozenset:

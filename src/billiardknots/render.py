@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .words import Word, check_word
+from .words import Word, check_length, check_word
 
 TABLE_HEIGHT = 3
 
@@ -69,13 +69,6 @@ def _interior_points(vertices):
             yield x, y1 + slope * (x - x1), index
 
 
-def check_length(n: int) -> int:
-    """Reject lengths that have no diagram: n < 1 or n == 2 mod 3."""
-    if n < 1 or n % 3 == 2:
-        raise ValueError(f"invalid length {n}: need n >= 1 with n = 0 or 1 mod 3")
-    return n
-
-
 def _geometry_and_strands(
     n: int,
 ) -> tuple[BilliardGeometry, dict[tuple[int, int], list[int]]]:
@@ -85,6 +78,8 @@ def _geometry_and_strands(
     trajectory is read off once, in time linear in n.
     """
     width = check_length(n) + 1
+    if n < 1:
+        raise ValueError("a diagram needs n >= 1")
     vertices = _trace(width)
     through: dict[tuple[int, int], list[int]] = {}
     for x, y, index in _interior_points(vertices):

@@ -10,8 +10,7 @@ columns once over a block of up to 4096 words with numpy, each word
 keeping its own stack of run lengths, so the Python loop runs n times per
 block, not once per letter of every word.  On a 2-vCPU machine sample_pmf
 draws and reduces about 1.3 million words/s at n = 30 and 145 thousand at
-n = 300, where the per-word Python stack pass it replaced managed about
-40 and 12 thousand.
+n = 300.
 """
 
 from __future__ import annotations
@@ -22,7 +21,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import CrossingPmf, check_length
+from .distributions import CrossingPmf
+from .words import check_length
 
 _BATCH = 4096
 # rows are reduced in blocks with one uint8 stack cell per letter, at most

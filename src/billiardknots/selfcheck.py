@@ -140,7 +140,7 @@ def check_distribution(
     """Formula probabilities and the crossing pmf match exhaustive enumeration."""
     lengths = tuple(lengths)
     for n in lengths:
-        terminals = oracle.terminal_counts(n)
+        terminals = oracle.tally_terminals(n)
         pmf = distributions.crossing_pmf(n)
         for mode in modes:
             try:

@@ -45,6 +45,19 @@ class ResourceGuardError(RuntimeError):
     """Raised when an input would exceed its configured size guard."""
 
 
+def check_guard(label: str, value: int, limit: int, guard: str) -> None:
+    """Raise ResourceGuardError, naming what was measured, if value > limit."""
+    if value > limit:
+        raise ResourceGuardError(f"{label}={value} exceeds the {guard} guard {limit}")
+
+
+def check_length(n: int) -> int:
+    """Reject n < 0 and n == 2 mod 3: a 3 x (n+1) table then makes no knot."""
+    if n < 0 or n % 3 == 2:
+        raise ValueError(f"invalid length {n}: need n >= 0 with n = 0 or 1 mod 3")
+    return n
+
+
 def check_word(w: Word) -> Word:
     """Validate that w is a string over {'0','1'}; return it unchanged."""
     if not isinstance(w, str) or w.strip("01"):

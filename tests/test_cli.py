@@ -280,6 +280,9 @@ def test_insertions_command(capsys):
     assert data["count"] == 5
     code, out, _ = run(capsys, "insertions", "101", "--m", "1", "--format", "json")
     assert json.loads(out)["count"] == 9
+    code, out, err = run(capsys, "insertions", "010101010", "--m", "1")
+    assert code == 3
+    assert out == "" and "len(word)=9 exceeds the insertions guard 8" in err
 
 
 def test_trace_command(capsys):

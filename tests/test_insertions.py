@@ -156,8 +156,10 @@ def test_is_feasible_examples():
 
 
 def test_is_feasible_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"outside 1\.\.9$"):
         is_feasible(9, (10,))
+    with pytest.raises(ValueError, match=r"outside 1\.\.9$"):
+        reconstruct("101", 2, [0])  # the same range check
     with pytest.raises(ValueError):
         is_feasible(0, ())
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from billiardknots import selfcheck
@@ -6,12 +8,13 @@ from billiardknots.oracle import (
     INTERNAL_ONLY,
     ResourceGuardError,
     all_terminal_words,
+    all_words,
     classify_terminals,
     enumerate_insertions,
     exact_distribution,
-    terminal_counts,
+    tally_terminals,
 )
-from billiardknots.words import CHIRAL, MIRROR_IDENTIFIED, knot_class
+from billiardknots.words import CHIRAL, MIRROR_IDENTIFIED, knot_class, reduce
 
 
 # ---------------------------------------------------------------- exact distribution
@@ -52,9 +55,17 @@ def test_exact_distribution_guard_and_validation():
         exact_distribution(-1)
 
 
+def test_tally_terminals_checks_length_and_guard():
+    assert tally_terminals(4) == Counter(map(reduce, all_words(4)))
+    with pytest.raises(ValueError, match="invalid length 5"):
+        tally_terminals(5)
+    with pytest.raises(ResourceGuardError, match="^n=7 exceeds the enumeration guard 4$"):
+        tally_terminals(7, max_n=4)
+
+
 def test_orbit_shared_classes_equal_one_knot_class_per_terminal():
     for n in (n for n in range(15) if n % 3 != 2):
-        terminals = terminal_counts(n)
+        terminals = tally_terminals(n)
         for mode in (MIRROR_IDENTIFIED, CHIRAL):
             counts, classes, crossing = {}, {}, {}
             for terminal, tally in terminals.items():
@@ -92,9 +103,10 @@ def test_enumerate_insertions_levels_have_uniform_length():
 
 
 def test_enumerate_insertions_guards():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError,
+                       match=r"^len\(word\)=9 exceeds the insertions guard 8$"):
         enumerate_insertions("010101010", 1)  # base too long
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError, match="^m=5 exceeds the insertions guard 4$"):
         enumerate_insertions("101", 5)  # too many insertions
     assert len(enumerate_insertions("010101010", 1, max_len=9)) > 0
     with pytest.raises(ValueError):
@@ -115,7 +127,8 @@ def test_all_terminal_words_examples():
 
 
 def test_all_terminal_words_guard():
-    with pytest.raises(ResourceGuardError):
+    with pytest.raises(ResourceGuardError,
+                       match=r"^len\(word\)=14 exceeds the confluence guard 13$"):
         all_terminal_words("0" * 14)
     assert all_terminal_words("0" * 14, max_len=14) == {"00"}
 

@@ -90,6 +90,13 @@ def test_invalid_lengths_rejected():
     for word in ("", "01", "01010"):
         with pytest.raises(ValueError):
             render_svg(word)
+    # the one length rule (words.check_length), then render's own n >= 1
+    with pytest.raises(ValueError, match="n = 0 or 1 mod 3"):
+        billiard_geometry(2)
+    with pytest.raises(ValueError, match="a diagram needs n >= 1"):
+        billiard_geometry(0)
+    with pytest.raises(ValueError, match="a diagram needs n >= 1"):
+        render_svg("")
 
 
 def test_render_is_deterministic():
