@@ -7,7 +7,7 @@ output boundary.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict
 from itertools import count, islice
 from math import comb
 
@@ -24,8 +24,8 @@ def binomial(n: int, k: int) -> int:
 def binomial_lt(n: int, m: int) -> int:
     """Partial row sum C(n,0) + C(n,1) + ... + C(n,m-1); 0 for m <= 0.
 
-    Read from _binomial_and_below, whose cache it shares with count_full
-    and count_internal.
+    Read from _binomial_and_below, so it walks from the same anchors as
+    count_full and count_internal.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -34,28 +34,65 @@ def binomial_lt(n: int, m: int) -> int:
     return _binomial_and_below(n, m)[1]
 
 
-@lru_cache(maxsize=64)
+#: n -> (m0, C(n, m0), binomial_lt(n, m0)) where the last query at length
+#: n stopped, 0 <= m0 <= n; the least recently asked length goes first
+#: once more than _ANCHOR_LENGTHS are held
+_anchors: OrderedDict[int, tuple[int, int, int]] = OrderedDict()
+_ANCHOR_LENGTHS = 64
+
+
 def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
-    """(C(n, m), binomial_lt(n, m)) for n, m >= 0, from one _row_pass.
+    """(C(n, m), binomial_lt(n, m)) for n, m >= 0, walked from row n's anchor.
 
-    The running pass reaches C(n, m) on its way to the partial sum, so no
-    caller needs a fresh binomial.  The small cache serves callers that
-    ask for the same pair for several knots at one length.
+    The walk steps up with _row_pass or down with _row_pass_down from the
+    anchor, or up from k = 0 when that is no longer, so no query takes
+    more steps than a fresh pass to m; then the anchor moves to m.  The
+    knots at one length ask for a few m within 3 of each other, so after
+    one partial row pass each further m costs a few steps.
+
+    Each touch of the store is one OrderedDict call, atomic under the
+    interpreter lock: a query takes its anchor out whole and puts a new
+    one back, so a query interleaved with it at the same length starts
+    from k = 0 (a longer walk, never a wrong pair), and two evictions
+    racing past the bound only drop one length too many.
     """
-    return next(islice(_row_pass(n), min(m, n + 1), None))
+    if m > n:
+        return 0, 1 << n
+    m0, binom, below = _anchors.pop(n, (0, 1, 0))
+    if m != m0:
+        if abs(m - m0) >= m:
+            m0, binom, below = 0, 1, 0
+        walk = (_row_pass if m > m0 else _row_pass_down)(n, m0, binom, below)
+        binom, below = next(islice(walk, abs(m - m0), None))
+    _anchors[n] = (m, binom, below)
+    if len(_anchors) > _ANCHOR_LENGTHS:
+        _anchors.popitem(last=False)
+    return binom, below
 
 
-def _row_pass(n: int):
-    """Yield (C(n, k), C(n, 0) + ... + C(n, k-1)) for k = 0, 1, 2, ...
+def _row_pass(n: int, k: int = 0, term: int = 1, below: int = 0):
+    """Yield (C(n, j), C(n, 0) + ... + C(n, j-1)) for j = k, k+1, k+2, ...
 
-    C(n, k+1) = C(n, k) * (n - k) / (k + 1); past k = n the term is 0 and
-    the sum stays at 2**n.
+    Starts from the pair (term, below) at j = k, by default the start of
+    the row.  C(n, j+1) = C(n, j) * (n - j) / (j + 1); past j = n the term
+    is 0 and the sum stays at 2**n.
     """
-    term, below = 1, 0
-    for k in count():
+    for j in count(k):
         yield term, below
         below += term
-        term = term * (n - k) // (k + 1)
+        term = term * (n - j) // (j + 1)
+
+
+def _row_pass_down(n: int, k: int, term: int, below: int):
+    """Yield the pairs of _row_pass for j = k, k-1, ..., 0, from the pair at k <= n.
+
+    The inverse step: C(n, j-1) = C(n, j) * j / (n - j + 1), then the sum
+    drops by C(n, j-1).
+    """
+    for j in range(k, -1, -1):
+        yield term, below
+        term = term * j // (n - j + 1)
+        below -= term
 
 
 def feasible_count(size: int, s: int) -> int:
@@ -78,7 +115,8 @@ def count_internal(ell: int, m: int) -> int:
     """Number of words reachable from any ell-letter word by m internal insertions.
 
     Equals the sum of feasible_count(3*m + ell, s) for s in 0..m and does
-    not depend on the base word itself.
+    not depend on the base word itself.  C(n, m) and the partial sum below
+    it, n = 3*m + ell, are walked from row n's anchor (_binomial_and_below).
     """
     if ell < 0 or m < 0:
         raise ValueError("ell and m must be nonnegative")
@@ -92,7 +130,10 @@ def count_full(m: int, ell: int) -> int:
 
     Evaluated at doubled scale so the two half-integer polynomial
     coefficients stay integral; the final division by 2 is checked exact,
-    which catches any transcription slip in the coefficients.
+    which catches any transcription slip in the coefficients.  C(n, m)
+    and the partial sum below it, n = 3*m + ell, are walked from row n's
+    anchor (_binomial_and_below), so counts at one length with nearby m
+    share one partial row pass.
     """
     if ell < 0 or m < 0:
         raise ValueError("ell and m must be nonnegative")

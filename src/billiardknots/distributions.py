@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .counting import count_full, count_full_row
 from .words import UNKNOT_CLASS, KnotClass, check_length
+
+if TYPE_CHECKING:  # fractions loads only for the exact-fraction views
+    from fractions import Fraction
 
 #: per-crossing decay rate of any fixed knot's probability
 ALPHA = (27 / 32) ** (1 / 3)
@@ -52,10 +54,13 @@ class ExactProb(_ExactProbFields):
 
     @property
     def fraction(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.numerator, 1 << self.exponent)
 
     def __float__(self) -> float:
-        return float(self.fraction)
+        # int true division is correctly rounded, as float(self.fraction) is
+        return self.numerator / (1 << self.exponent)
 
     def __str__(self) -> str:
         return f"{self.numerator}/{1 << self.exponent}"
@@ -87,6 +92,8 @@ class CrossingPmf(NamedTuple):
     masses: dict[int, ExactProb]  # crossing number c in {3..n} -> mass
 
     def total(self) -> Fraction:
+        from fractions import Fraction
+
         return self.unknot_mass.fraction + sum(
             (p.fraction for p in self.masses.values()), Fraction(0)
         )
@@ -184,6 +191,8 @@ def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
     mode go to the smallest crossing number.  Lengths below 3 carry no
     crossing mass and have no mode; they are rejected.
     """
+    from fractions import Fraction
+
     pmf = crossing_pmf(n)
     if not pmf.masses:
         raise ValueError(f"n={n} has no crossing mass, so the pmf has no mode")

@@ -70,14 +70,16 @@ def check_confluence(max_n: int) -> Check:
 
 
 def check_counting(limit: int) -> Check:
-    """The cached (C(n, m), partial row sum) pair equals math.comb and its
-    sum, and the binomial summation identities used by the closed insertion
-    count hold."""
+    """The anchored (C(n, m), partial row sum) pair equals math.comb and its
+    sum with m walked up the row and back down, so both the step and its
+    inverse are audited, and the binomial summation identities used by the
+    closed insertion count hold."""
     for n in range(limit + 1):
-        for m in range(n + 1):
+        for m in (*range(n + 1), *range(n - 1, -1, -1)):
             expected = (comb(n, m), sum(comb(n, k) for k in range(m)))
             if counting._binomial_and_below(n, m) != expected:
                 return ("counting-identities", False, f"cached pair at {n=} {m=}")
+        for m in range(n + 1):
             lhs1 = sum(k * counting.binomial(n, k) for k in range(m))
             if 2 * lhs1 != n * counting.binomial_lt(n, m) - m * counting.binomial(n, m):
                 return ("counting-identities", False, f"first identity at {n=} {m=}")

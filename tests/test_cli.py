@@ -435,6 +435,20 @@ def test_only_the_sampler_loads_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_probabilities_load_fractions_only_for_exact_fraction_views():
+    script = textwrap.dedent("""
+        import sys
+        import billiardknots.distributions
+        assert "fractions" not in sys.modules
+
+        from billiardknots.cli import main
+        assert main(["prob", "101", "--n", "301"]) == 0
+        assert "fractions" not in sys.modules
+    """)
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
 def test_python_dash_m_runs_the_cli():
     done = run_python("-m", "billiardknots", "reduce", "100001001110")
     assert done.returncode == 0, done.stderr

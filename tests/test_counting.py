@@ -1,8 +1,13 @@
+import random
+import sys
+import threading
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
-from billiardknots import selfcheck
+from billiardknots import counting, selfcheck
 from billiardknots.counting import (
     _binomial_and_below,
     binomial,
@@ -45,8 +50,64 @@ def test_binomial_lt():
     for n in range(30):
         for m in range(-1, n + 3):
             assert binomial_lt(n, m) == sum(binomial(n, k) for k in range(m))
-    # the cache sits on the pair that binomial_lt, count_full and count_internal share
-    assert _binomial_and_below.cache_info().maxsize == 64  # bounded, not one entry per call
+    # binomial_lt, count_full and count_internal walk from one anchor per length
+    for n in range(100, 200):
+        binomial_lt(n, 2)
+    assert len(counting._anchors) <= 64  # bounded, not one entry per length
+
+
+@st.composite
+def row_queries(draw):
+    """(n, m) pairs with n <= 60 and m in -1..n+3; repeats of a length make
+    the walks jump both up and down from its anchor."""
+    lengths = draw(st.lists(st.integers(0, 60), min_size=1, max_size=4))
+    return draw(st.lists(
+        st.sampled_from(lengths).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(-1, n + 3))),
+        max_size=40,
+    ))
+
+
+@given(row_queries())
+def test_binomial_pairs_do_not_depend_on_query_order(queries):
+    counting._anchors.clear()
+    for n, m in queries:
+        below = sum(comb(n, k) for k in range(m))
+        assert binomial_lt(n, m) == below, (n, m)
+        if m >= 0:
+            assert _binomial_and_below(n, m) == (comb(n, m), below), (n, m)
+
+
+def test_binomial_pairs_stay_exact_under_threads():
+    # more threads than cores and a short switch interval, over more lengths
+    # than the store holds, so walks, evictions and put-backs interleave
+    rows = {n: [comb(n, k) for k in range(n + 1)] for n in range(80)}
+    failures = []
+
+    def query(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(30000):
+                n = rng.randrange(80)
+                m = rng.randint(0, n)
+                if _binomial_and_below(n, m) != (rows[n][m], sum(rows[n][:m])):
+                    failures.append((n, m))
+        except Exception as exc:  # an eviction race surfaces as an exception
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(counting._anchors) <= 64
 
 
 def test_feasible_count_examples():

@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from billiardknots import selfcheck
+from billiardknots import counting, selfcheck
 from billiardknots.counting import binomial, binomial_lt, count_full, count_internal
 from billiardknots.distributions import (
     BETA,
@@ -101,6 +103,43 @@ def test_knot_probability_chirality_halves_mass():
     left = knot_class("101", "chiral")
     both = knot_probability(TREFOIL, 9).fraction
     assert knot_probability(left, 9).fraction * 2 == both
+
+
+def two_bridge_catalogue():
+    """The 26 two-bridge knots with 3 to 8 crossings, from the run patterns
+    (1, {1, 2}..., 1), ordered by crossing number then canonical word."""
+    classes = {}
+    for c in range(3, 9):
+        for inner in product((1, 2), repeat=c - 2):
+            w = "".join(str(1 - i % 2) * k for i, k in enumerate((1, *inner, 1)))
+            if len(w) % 3 != 2:
+                cls = knot_class(w)
+                classes[cls.canonical] = cls
+    return sorted(classes.values(), key=lambda k: (k.crossing_number, k.canonical))
+
+
+# sha256 of repr([(n, canonical, numerator, exponent), ...]) over the
+# catalogue at each n in catalogue order, made at commit 6b51ee8, where
+# every (n, m) pair came from its own pass up row n
+CATALOGUE_PROBABILITIES_SHA256 = (
+    "35b7b58d7023b1210dad0f6d4cc1c5610b2e2269271ba89bd97c43d7f83ab57a"
+)
+
+
+def test_knot_probability_does_not_depend_on_query_order():
+    catalogue = two_bridge_catalogue()
+    assert len(catalogue) == 26
+    queries = [(n, k) for n in (1500, 1501, 3009) for k in catalogue]
+    forward = {(n, k.canonical): knot_probability(k, n) for n, k in queries}
+    backward = {(n, k.canonical): knot_probability(k, n) for n, k in reversed(queries)}
+    fresh = {}
+    for n, k in queries:
+        counting._anchors.clear()
+        fresh[n, k.canonical] = knot_probability(k, n)
+    assert forward == backward == fresh
+    values = [(*key, *p) for key, p in forward.items()]
+    digest = hashlib.sha256(repr(values).encode()).hexdigest()
+    assert digest == CATALOGUE_PROBABILITIES_SHA256
 
 
 def test_invalid_lengths_rejected():

@@ -4,6 +4,8 @@ The acceptance suite and the unit tests assert on these checks, so a check
 that always passed would hide every fault.
 """
 
+from collections import OrderedDict
+from itertools import count
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +16,7 @@ from billiardknots.cli import main
 
 # the originals, which the stand-ins call once the module attribute is patched
 binomial_lt, count_full = counting.binomial_lt, counting.count_full
-binomial_and_below = counting._binomial_and_below
+binomial_and_below, row_pass_down = counting._binomial_and_below, counting._row_pass_down
 count_internal, count_full_row = counting.count_internal, counting.count_full_row
 knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
 external_moves = sampler._external_moves
@@ -27,6 +29,11 @@ def _bump_first(row):  # one wrong entry, the count that feeds the mass at c = n
 def _bump_binomial_at_3(n, m):  # C(n, 3) one too high, the partial sum right
     binom, below = binomial_and_below(n, m)
     return binom + (m == 3), below
+
+
+def _bump_downward_at_3(n, k, term, below):  # only the inverse step wrong, at C(n, 3)
+    for j, (binom, lt) in zip(count(k, -1), row_pass_down(n, k, term, below)):
+        yield binom + (j == 3), lt
 
 
 def _orbit_without_resized_forms(w, mode):  # only the terminal's own length
@@ -47,6 +54,7 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
     (lambda: sc.check_counting(6), counting, "binomial_lt",
      lambda n, m: binomial_lt(n, m) + (m == 3)),
     (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_binomial_at_3),
+    (lambda: sc.check_counting(6), counting, "_row_pass_down", _bump_downward_at_3),
     (lambda: sc.check_count_full_summation(4), counting, "count_full",
      lambda m, ell: count_full(m, ell) + (m == 2)),
     (lambda: sc.check_insertion_counts(2), counting, "count_internal",
@@ -94,6 +102,7 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
 
 @pytest.mark.parametrize("run,module,name,wrong", PLANTED)
 def test_shared_check_catches_a_planted_fault(run, module, name, wrong, monkeypatch):
+    monkeypatch.setattr(counting, "_anchors", OrderedDict())  # no wrong pair outlives it
     _, ok, passed = run()
     assert ok, passed
     monkeypatch.setattr(module, name, wrong)
