@@ -128,11 +128,14 @@ def _cmd_pmf(args, guards) -> None:
     words.check_length(args.n)
     words.check_guard("n", args.n, guards["pmf_max_n"], "pmf")
     pmf = distributions.crossing_pmf(args.n)
-    lines = [f"c=0 (unknot): {pmf.unknot_mass} = {float(pmf.unknot_mass):.6g}"]
-    for c in sorted(pmf.masses):
-        p = pmf.masses[c]
-        lines.append(f"c={c}: {p} = {float(p):.6g}")
-    _emit(args, pmf.to_json(), "\n".join(lines), pmf.to_csv_rows(),
+    text = ""
+    if args.format == "text":  # only the asked-for view is built
+        over = f"/{1 << args.n}"
+        text = "\n".join(
+            f"c={c}{' (unknot)' if c == 0 else ''}: {p.numerator}{over} = {float(p):.6g}"
+            for c, p in pmf.by_crossing())
+    _emit(args, pmf.to_json() if args.format == "json" else {}, text,
+          pmf.to_csv_rows() if args.format == "csv" else [],
           ("c", "numerator", "denominator", "float"))
 
 

@@ -8,7 +8,7 @@ output boundary.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import count, islice
+from itertools import count
 from math import comb
 
 
@@ -25,7 +25,7 @@ def binomial_lt(n: int, m: int) -> int:
     """Partial row sum C(n,0) + C(n,1) + ... + C(n,m-1); 0 for m <= 0.
 
     Read from _binomial_and_below, so it walks from the same anchors as
-    count_full and count_internal.
+    count_full and count_internal, two terms per step on a long walk.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -44,11 +44,15 @@ _ANCHOR_LENGTHS = 64
 def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
     """(C(n, m), binomial_lt(n, m)) for n, m >= 0, walked from row n's anchor.
 
-    The walk steps up with _row_pass or down with _row_pass_down from the
-    anchor, or up from k = 0 when that is no longer, so no query takes
-    more steps than a fresh pass to m; then the anchor moves to m.  The
-    knots at one length ask for a few m within 3 of each other, so after
-    one partial row pass each further m costs a few steps.
+    The walk starts at the anchor, or at k = 0 when that is no farther, so
+    no query walks farther than a fresh pass to m; then the anchor moves
+    to m.  A walk up by 4 or more, as is every pass from k = 0, adds the
+    pair C(n, j) + C(n, j+1) = C(n+1, j+1) and moves it two positions per
+    step, times (n-j)(n-j-1) / ((j+2)(j+3)): one 30-bit digit each for
+    n <= 32768.  Short and downward walks step once, by C(n, j+1) =
+    C(n, j) * (n-j) / (j+1) or its inverse.  The knots at one length ask
+    for a few m within 3 of each other, so after one partial row pass
+    each further m costs a few steps.
 
     Each touch of the store is one OrderedDict call, atomic under the
     interpreter lock: a query takes its anchor out whole and puts a new
@@ -58,41 +62,41 @@ def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
     """
     if m > n:
         return 0, 1 << n
-    m0, binom, below = _anchors.pop(n, (0, 1, 0))
-    if m != m0:
-        if abs(m - m0) >= m:
-            m0, binom, below = 0, 1, 0
-        walk = (_row_pass if m > m0 else _row_pass_down)(n, m0, binom, below)
-        binom, below = next(islice(walk, abs(m - m0), None))
+    j, binom, below = _anchors.pop(n, (0, 1, 0))
+    if abs(m - j) >= m:
+        j, binom, below = 0, 1, 0
+    if m - j >= 4:
+        pair = binom * (n + 1) // (j + 1)  # C(n+1, j+1)
+        for j in range(j, m - 1, 2):
+            below += pair
+            pair = pair * ((n - j) * (n - j - 1)) // ((j + 2) * (j + 3))
+        j += 2  # past the last pair added
+        binom = pair * (j + 1) // (n + 1)
+    while j < m:
+        below += binom
+        binom = binom * (n - j) // (j + 1)
+        j += 1
+    while j > m:
+        binom = binom * j // (n - j + 1)
+        below -= binom
+        j -= 1
     _anchors[n] = (m, binom, below)
     if len(_anchors) > _ANCHOR_LENGTHS:
         _anchors.popitem(last=False)
     return binom, below
 
 
-def _row_pass(n: int, k: int = 0, term: int = 1, below: int = 0):
-    """Yield (C(n, j), C(n, 0) + ... + C(n, j-1)) for j = k, k+1, k+2, ...
+def _row_pass(n: int):
+    """Yield (C(n, j), C(n, 0) + ... + C(n, j-1)) for j = 0, 1, 2, ...
 
-    Starts from the pair (term, below) at j = k, by default the start of
-    the row.  C(n, j+1) = C(n, j) * (n - j) / (j + 1); past j = n the term
-    is 0 and the sum stays at 2**n.
+    C(n, j+1) = C(n, j) * (n - j) / (j + 1); past j = n the term is 0 and
+    the sum stays at 2**n.
     """
-    for j in count(k):
+    term, below = 1, 0
+    for j in count():
         yield term, below
         below += term
         term = term * (n - j) // (j + 1)
-
-
-def _row_pass_down(n: int, k: int, term: int, below: int):
-    """Yield the pairs of _row_pass for j = k, k-1, ..., 0, from the pair at k <= n.
-
-    The inverse step: C(n, j-1) = C(n, j) * j / (n - j + 1), then the sum
-    drops by C(n, j-1).
-    """
-    for j in range(k, -1, -1):
-        yield term, below
-        term = term * j // (n - j + 1)
-        below -= term
 
 
 def feasible_count(size: int, s: int) -> int:

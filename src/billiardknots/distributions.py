@@ -104,20 +104,23 @@ class CrossingPmf(NamedTuple):
         out.update((c, float(p)) for c, p in self.masses.items())
         return out
 
+    def by_crossing(self) -> list[tuple[int, ExactProb]]:
+        """(c, mass) in order of crossing number, with the unknot at c = 0."""
+        return [(0, self.unknot_mass), *sorted(self.masses.items())]
+
     def to_json(self) -> dict:
+        over = f"/{1 << self.n}"  # every mass is over 2**n: format it once
+        masses = sorted(self.masses.items())
         return {
             "n": self.n,
-            "unknot": str(self.unknot_mass),
-            "pmf": {str(c): str(self.masses[c]) for c in sorted(self.masses)},
+            "unknot": f"{self.unknot_mass.numerator}{over}",
+            "pmf": {str(c): f"{p.numerator}{over}" for c, p in masses},
         }
 
     def to_csv_rows(self) -> list[tuple]:
-        rows = [(0, self.unknot_mass.numerator, self.unknot_mass.denominator,
-                 float(self.unknot_mass))]
-        for c in sorted(self.masses):
-            p = self.masses[c]
-            rows.append((c, p.numerator, p.denominator, float(p)))
-        return rows
+        """(c, numerator, denominator, float) rows, with 2**n formatted once."""
+        den = str(1 << self.n)
+        return [(c, p.numerator, den, float(p)) for c, p in self.by_crossing()]
 
 
 def crossing_pmf(n: int) -> CrossingPmf:

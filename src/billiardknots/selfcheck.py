@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Callable
 
@@ -71,24 +71,28 @@ def check_confluence(max_n: int) -> Check:
 
 def check_counting(limit: int) -> Check:
     """The anchored (C(n, m), partial row sum) pair equals math.comb and its
-    sum with m walked up the row and back down, so both the step and its
-    inverse are audited, and the binomial summation identities used by the
-    closed insertion count hold."""
+    prefix sums with m walked up the row one step at a time, back down, and
+    then reached from k = 0 by the two-position walk for every m >= 4, so
+    each kind of walk is audited; and the binomial summation identities
+    used by the closed insertion count hold."""
     for n in range(limit + 1):
-        for m in (*range(n + 1), *range(n - 1, -1, -1)):
-            expected = (comb(n, m), sum(comb(n, k) for k in range(m)))
-            if counting._binomial_and_below(n, m) != expected:
+        row = [comb(n, k) for k in range(n + 1)]
+        sums = [0, *accumulate(row)]
+        ups = [q for m in range(4, n + 1) for q in (m, 0)]
+        for m in (*range(n + 1), *range(n - 1, -1, -1), *ups):
+            if counting._binomial_and_below(n, m) != (row[m], sums[m]):
                 return ("counting-identities", False, f"cached pair at {n=} {m=}")
+        lhs1 = lhs2 = 0
         for m in range(n + 1):
-            lhs1 = sum(k * counting.binomial(n, k) for k in range(m))
             if 2 * lhs1 != n * counting.binomial_lt(n, m) - m * counting.binomial(n, m):
                 return ("counting-identities", False, f"first identity at {n=} {m=}")
-            lhs2 = sum(k * (k - 1) * counting.binomial(n, k) for k in range(m))
             rhs2 = n * (n - 1) * counting.binomial_lt(n, m) - m * (
                 2 * m + n - 3
             ) * counting.binomial(n, m)
             if 4 * lhs2 != rhs2:
                 return ("counting-identities", False, f"second identity at {n=} {m=}")
+            lhs1 += m * row[m]
+            lhs2 += m * (m - 1) * row[m]
     return ("counting-identities", True, f"n up to {limit}")
 
 

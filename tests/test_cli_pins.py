@@ -1,13 +1,17 @@
 """Pinned CLI stdout: exit code and sha256 of stdout for a fixed set of commands.
 
-cli_pins.json lists about fifty argv: every command in every --format,
+cli_pins.json lists about sixty argv: every command in every --format,
 sample at two seeds with --workers 1 and 4, render with a relative --out,
 selfcheck, and inputs that exit 2 (invalid) or 3 (a resource guard).
 Each pin was made by running the argv through cli.main in-process, in an
-empty working directory, at commit eb9af95 (before the input rules moved
-into words.check_length and words.check_guard), and hashing what it
-printed to stdout.  Nothing here rewrites the pins: a change that means
-to alter a pinned stdout edits the file by hand and says why.
+empty working directory, and hashing what it printed to stdout.  The
+first 56 were made at commit eb9af95 (before the input rules moved into
+words.check_length and words.check_guard).  The last two, prob 0110 at
+n = 40000 and rate at n = 99999, were made at commit 95fbcb8, before the
+partial row pass went two terms per step, so they pin its long walks
+past the one-digit edge at n = 32768.  Nothing here rewrites the pins: a
+change that means to alter a pinned stdout edits the file by hand and
+says why.
 """
 
 import hashlib

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from collections import OrderedDict
 from itertools import combinations
 from math import comb
 
@@ -108,6 +109,23 @@ def test_binomial_pairs_stay_exact_under_threads():
     assert not any(t.is_alive() for t in threads)
     assert failures == []
     assert len(counting._anchors) <= 64
+
+
+@pytest.mark.parametrize("n", [32768, 32769, 40000])
+def test_binomial_pairs_across_the_one_digit_edge(n, monkeypatch):
+    # up to n = 32768 each two-position step multiplies and divides by one
+    # 30-bit digit, from 32769 on by two; the partial sum is checked by the
+    # row's symmetry S(n, m) + S(n, n - m + 1) = 2**n, not by the walk itself
+    monkeypatch.setattr(counting, "_anchors", OrderedDict())
+    m = n // 3
+    below = (1 << n) - binomial_lt(n, n - m + 1)
+    for m, below in ((m, below), (m + 1, below + comb(n, m))):  # both parities
+        expected = (comb(n, m), below)
+        counting._anchors.clear()
+        assert _binomial_and_below(n, m) == expected, (n, m)  # cold
+        for start in (m - 9, m + 9, m - 2, m + 2):  # anchors below and above m
+            _binomial_and_below(n, start)
+            assert _binomial_and_below(n, m) == expected, (n, m, start)
 
 
 def test_feasible_count_examples():

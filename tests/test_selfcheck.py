@@ -5,7 +5,6 @@ that always passed would hide every fault.
 """
 
 from collections import OrderedDict
-from itertools import count
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +15,7 @@ from billiardknots.cli import main
 
 # the originals, which the stand-ins call once the module attribute is patched
 binomial_lt, count_full = counting.binomial_lt, counting.count_full
-binomial_and_below, row_pass_down = counting._binomial_and_below, counting._row_pass_down
+binomial_and_below = counting._binomial_and_below
 count_internal, count_full_row = counting.count_internal, counting.count_full_row
 knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
 external_moves = sampler._external_moves
@@ -31,9 +30,17 @@ def _bump_binomial_at_3(n, m):  # C(n, 3) one too high, the partial sum right
     return binom + (m == 3), below
 
 
-def _bump_downward_at_3(n, k, term, below):  # only the inverse step wrong, at C(n, 3)
-    for j, (binom, lt) in zip(count(k, -1), row_pass_down(n, k, term, below)):
-        yield binom + (j == 3), lt
+def _bump_walk(kind):
+    """A _binomial_and_below whose C(n, m) is one too high after one kind of
+    walk only: "pair" (up by 4 or more), "up" (up by 1 to 3) or "down"."""
+    def wrong(n, m):
+        j = counting._anchors.get(n, (0,))[0]  # where the original will start
+        if abs(m - j) >= m:
+            j = 0
+        walk = "pair" if m - j >= 4 else "up" if m > j else "down" if m < j else None
+        binom, below = binomial_and_below(n, m)
+        return binom + (walk == kind), below
+    return wrong
 
 
 def _orbit_without_resized_forms(w, mode):  # only the terminal's own length
@@ -54,7 +61,9 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
     (lambda: sc.check_counting(6), counting, "binomial_lt",
      lambda n, m: binomial_lt(n, m) + (m == 3)),
     (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_binomial_at_3),
-    (lambda: sc.check_counting(6), counting, "_row_pass_down", _bump_downward_at_3),
+    (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_walk("pair")),
+    (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_walk("up")),
+    (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_walk("down")),
     (lambda: sc.check_count_full_summation(4), counting, "count_full",
      lambda m, ell: count_full(m, ell) + (m == 2)),
     (lambda: sc.check_insertion_counts(2), counting, "count_internal",
