@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 # module -> the public names it exports through the package
 _EXPORTS = {
-    "counting": ("binomial", "binomial_lt", "count_full", "count_full_row",
-                 "count_internal", "feasible_count"),
+    "counting": ("binomial", "binomial_lt", "count_full", "count_internal",
+                 "feasible_count"),
     "distributions": ("ALPHA", "BETA", "AsymptoticReport", "BetaSummary",
                       "CrossingPmf", "ExactProb", "alpha_rate", "beta_summary",
                       "crossing_pmf", "knot_probability", "phi", "phi_gradient"),

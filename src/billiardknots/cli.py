@@ -82,7 +82,7 @@ def _emit(args, payload: dict | list, text: str, rows: Optional[list] = None,
 def _cmd_reduce(args, guards) -> None:
     terminal = words.reduce(args.word)
     payload = {"word": args.word, "reduced": terminal,
-               "crossing_number": words.crossing_number(args.word)}
+               "crossing_number": words.crossing_number(terminal)}
     _emit(args, payload, terminal)
 
 

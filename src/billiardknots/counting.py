@@ -8,7 +8,6 @@ output boundary.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import count
 from math import comb
 
 
@@ -52,7 +51,8 @@ def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
     n <= 32768.  Short and downward walks step once, by C(n, j+1) =
     C(n, j) * (n-j) / (j+1) or its inverse.  The knots at one length ask
     for a few m within 3 of each other, so after one partial row pass
-    each further m costs a few steps.
+    each further m costs a few steps; a whole row asked in order of m, as
+    crossing_pmf asks it, steps once per entry.
 
     Each touch of the store is one OrderedDict call, atomic under the
     interpreter lock: a query takes its anchor out whole and puts a new
@@ -84,19 +84,6 @@ def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
     if len(_anchors) > _ANCHOR_LENGTHS:
         _anchors.popitem(last=False)
     return binom, below
-
-
-def _row_pass(n: int):
-    """Yield (C(n, j), C(n, 0) + ... + C(n, j-1)) for j = 0, 1, 2, ...
-
-    C(n, j+1) = C(n, j) * (n - j) / (j + 1); past j = n the term is 0 and
-    the sum stays at 2**n.
-    """
-    term, below = 1, 0
-    for j in count():
-        yield term, below
-        below += term
-        term = term * (n - j) // (j + 1)
 
 
 def feasible_count(size: int, s: int) -> int:
@@ -137,29 +124,12 @@ def count_full(m: int, ell: int) -> int:
     which catches any transcription slip in the coefficients.  C(n, m)
     and the partial sum below it, n = 3*m + ell, are walked from row n's
     anchor (_binomial_and_below), so counts at one length with nearby m
-    share one partial row pass.
+    share one partial row pass, and a whole row asked in order of m
+    steps once per entry.
     """
     if ell < 0 or m < 0:
         raise ValueError("ell and m must be nonnegative")
-    return _full_count(m, ell, *_binomial_and_below(3 * m + ell, m))
-
-
-def count_full_row(n: int) -> list[int]:
-    """[count_full(j, n - 3j) for j in 0..n//3] in one pass over row n.
-
-    Every entry draws on C(n, j) and the partial sum of row n below it, so
-    one running binomial and its prefix sum serve the whole list.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return [
-        _full_count(m, n - 3 * m, binom, below)
-        for m, (binom, below) in zip(range(n // 3 + 1), _row_pass(n))
-    ]
-
-
-def _full_count(m: int, ell: int, binom: int, below: int) -> int:
-    """count_full(m, ell) from C(n, m) and binomial_lt(n, m), n = 3m + ell."""
+    binom, below = _binomial_and_below(3 * m + ell, m)
     a = m * m + (ell + 5) * m + 2
     b = m * m + (2 * ell + 9) * m + (ell * ell + 7 * ell + 2)
     doubled = a * binom - b * below

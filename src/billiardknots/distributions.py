@@ -12,7 +12,7 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .counting import count_full, count_full_row
+from .counting import count_full
 from .words import UNKNOT_CLASS, KnotClass, check_length
 
 if TYPE_CHECKING:  # fractions loads only for the exact-fraction views
@@ -42,11 +42,14 @@ class ExactProb(_ExactProbFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, numerator: int, exponent: int):
+        # operator.index raises TypeError on a float, which would print as 1.5/4
+        numerator, exponent = operator.index(numerator), operator.index(exponent)
         if numerator < 0 or exponent < 0:
             raise ValueError("numerator and exponent must be nonnegative")
         if numerator > (1 << exponent):
             raise ValueError("probability above 1")
-        return super().__new__(cls, numerator, exponent)
+        # built once per mass; tuple.__new__ skips the fields' generated __new__
+        return tuple.__new__(cls, (numerator, exponent))
 
     @property
     def denominator(self) -> int:
@@ -94,15 +97,12 @@ class CrossingPmf(NamedTuple):
     def total(self) -> Fraction:
         from fractions import Fraction
 
-        return self.unknot_mass.fraction + sum(
-            (p.fraction for p in self.masses.values()), Fraction(0)
-        )
+        # every mass is over 2**n: sum the numerators, divide once
+        return Fraction(sum(p.numerator for _, p in self.by_crossing()), 1 << self.n)
 
     def as_float_dict(self) -> dict[int, float]:
         """Float view keyed by crossing number, with the unknot at 0."""
-        out = {0: float(self.unknot_mass)}
-        out.update((c, float(p)) for c, p in self.masses.items())
-        return out
+        return {c: float(p) for c, p in self.by_crossing()}
 
     def by_crossing(self) -> list[tuple[int, ExactProb]]:
         """(c, mass) in order of crossing number, with the unknot at c = 0."""
@@ -129,8 +129,9 @@ def crossing_pmf(n: int) -> CrossingPmf:
     Reduced words with c runs and k two-letter runs have length c + k and
     C(c-2, k) run patterns; each reaches count_full((n-c-k)/3, c+k) words
     of length n, and halving the 2**n total for the two starting bits
-    gives the mass.  Every such count has 3m + ell = n, so the whole row
-    comes from count_full_row(n).  Placed at position 3m of a vector G,
+    gives the mass.  Every such count has 3m + ell = n, so the counts are
+    the row count_full(m, n - 3m), m = 0..n//3; asked in order of m, each
+    steps row n's anchor once.  Placed at position 3m of a vector G,
     the sum over k at crossing number c is coefficient n-c of
     (1+x)**(c-2) * G, so each c costs one pass of additions over G.  The
     masses plus the unknot mass sum to exactly 1.  oracle keeps the term
@@ -138,7 +139,7 @@ def crossing_pmf(n: int) -> CrossingPmf:
     """
     check_length(n)
     g = [0] * (n + 1)
-    g[::3] = count_full_row(n)
+    g[::3] = [count_full(m, n - 3 * m) for m in range(n // 3 + 1)]
     masses = {}
     for c in range(3, n + 1):
         r = n - c  # only coefficients up to n - c are still needed
@@ -199,18 +200,11 @@ def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
     pmf = crossing_pmf(n)
     if not pmf.masses:
         raise ValueError(f"n={n} has no crossing mass, so the pmf has no mode")
-    mode = None
-    best = Fraction(-1)
-    tail = Fraction(0)
-    if abs(0.0 - BETA) > delta:
-        tail += pmf.unknot_mass.fraction
-    for c in sorted(pmf.masses):
-        frac = pmf.masses[c].fraction
-        if frac > best:
-            best, mode = frac, c
-        if abs(c / n - BETA) > delta:
-            tail += frac
-    return BetaSummary(n, mode, mode / n, BETA, abs(mode / n - BETA), delta, tail)
+    # every mass is over 2**n, so numerators compare and add as the masses do
+    mode = max(pmf.masses, key=lambda c: (pmf.masses[c].numerator, -c))
+    tail = sum(p.numerator for c, p in pmf.by_crossing() if abs(c / n - BETA) > delta)
+    return BetaSummary(n, mode, mode / n, BETA, abs(mode / n - BETA), delta,
+                       Fraction(tail, 1 << n))
 
 
 def entropy(p: float) -> float:

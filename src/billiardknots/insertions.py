@@ -27,12 +27,14 @@ class LocationSet(_LocationSetFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, locations: tuple[int, ...], capacity: int):
-        locs = locations
+        # a tuple keeps the set hashable; operator.index rejects 1.5 and "2"
+        locs = tuple(map(operator.index, locations))
+        capacity = operator.index(capacity)
         if any(x < 1 for x in locs) or any(a >= b for a, b in zip(locs, locs[1:])):
             raise ValueError(f"locations must be strictly increasing and >= 1: {locs}")
         if capacity < 0 or len(locs) > capacity:
             raise ValueError(f"{len(locs)} locations exceed capacity {capacity}")
-        return super().__new__(cls, locations, capacity)
+        return super().__new__(cls, locs, capacity)
 
     def to_json(self) -> list[int]:
         return list(self.locations)

@@ -81,7 +81,7 @@ def check_counting(limit: int) -> Check:
         ups = [q for m in range(4, n + 1) for q in (m, 0)]
         for m in (*range(n + 1), *range(n - 1, -1, -1), *ups):
             if counting._binomial_and_below(n, m) != (row[m], sums[m]):
-                return ("counting-identities", False, f"cached pair at {n=} {m=}")
+                return ("counting-identities", False, f"anchored pair at {n=} {m=}")
         lhs1 = lhs2 = 0
         for m in range(n + 1):
             if 2 * lhs1 != n * counting.binomial_lt(n, m) - m * counting.binomial(n, m):
@@ -111,16 +111,6 @@ def check_count_full_summation(limit: int) -> Check:
             if got != total:
                 return ("count-full-summation", False, f"F({m},{ell}): {got} != {total}")
     return ("count-full-summation", True, f"m, ell up to {limit}")
-
-
-def check_count_full_row(max_n: int) -> Check:
-    """The one-pass row of full counts equals count_full term by term."""
-    for n in range(max_n + 1):
-        row = counting.count_full_row(n)
-        expected = [counting.count_full(j, n - 3 * j) for j in range(n // 3 + 1)]
-        if row != expected:
-            return ("count-full-row", False, f"row {n}: {row} != {expected}")
-    return ("count-full-row", True, f"n up to {max_n}")
 
 
 def check_insertion_counts(

@@ -10,7 +10,7 @@ from time import perf_counter
 
 from hypothesis import given, settings, strategies as st
 
-from billiardknots import cli, distributions, insertions, render, sampler
+from billiardknots import cli, distributions, insertions, render, sampler, words
 from billiardknots.cli import main
 from billiardknots.words import knot_class
 
@@ -33,6 +33,15 @@ def test_reduce_json(capsys):
     data = json.loads(out)
     assert data["reduced"] == "101"
     assert data["crossing_number"] == 3
+
+
+def test_reduce_reduces_its_input_once(capsys, monkeypatch):
+    seen = []
+    original = words.reduce
+    monkeypatch.setattr(words, "reduce", lambda w: seen.append(w) or original(w))
+    code, out, _ = run(capsys, "reduce", "100001001110")
+    assert (code, out) == (0, "101\n")
+    assert seen == ["100001001110", "101"]  # the crossing number reads the terminal
 
 
 def test_moves_command(capsys):
@@ -457,8 +466,8 @@ def test_python_dash_m_runs_the_cli():
 
 # every public name of the package, by the module that defines it
 EXPORTED = {
-    "counting": ("binomial", "binomial_lt", "count_full", "count_full_row",
-                 "count_internal", "feasible_count"),
+    "counting": ("binomial", "binomial_lt", "count_full", "count_internal",
+                 "feasible_count"),
     "distributions": ("ALPHA", "BETA", "AsymptoticReport", "BetaSummary",
                       "CrossingPmf", "ExactProb", "alpha_rate", "beta_summary",
                       "crossing_pmf", "knot_probability", "phi", "phi_gradient"),

@@ -6,10 +6,13 @@ selfcheck, and inputs that exit 2 (invalid) or 3 (a resource guard).
 Each pin was made by running the argv through cli.main in-process, in an
 empty working directory, and hashing what it printed to stdout.  The
 first 56 were made at commit eb9af95 (before the input rules moved into
-words.check_length and words.check_guard).  The last two, prob 0110 at
+words.check_length and words.check_guard).  The next two, prob 0110 at
 n = 40000 and rate at n = 99999, were made at commit 95fbcb8, before the
 partial row pass went two terms per step, so they pin its long walks
-past the one-digit edge at n = 32768.  Nothing here rewrites the pins: a
+past the one-digit edge at n = 32768.  The last two, pmf at n = 1000 in
+json and at n = 2002 in csv, were made at commit 5054d9c, while the pmf
+row still came from its own one-pass row function, so they pin whole
+rows walked through count_full's anchor.  Nothing here rewrites the pins: a
 change that means to alter a pinned stdout edits the file by hand and
 says why.
 """

@@ -14,7 +14,6 @@ from billiardknots.counting import (
     binomial,
     binomial_lt,
     count_full,
-    count_full_row,
     count_internal,
     feasible_count,
 )
@@ -191,14 +190,6 @@ def test_count_full_summation_form():
     # the pre-simplification form: internal count plus 4e staged external variants
     _, ok, detail = selfcheck.check_count_full_summation(8)
     assert ok, detail
-
-
-def test_count_full_row_matches_count_full():
-    _, ok, detail = selfcheck.check_count_full_row(60)
-    assert ok, detail
-    assert count_full_row(0) == [1]
-    with pytest.raises(ValueError):
-        count_full_row(-1)
 
 
 def test_weighted_row_sum_identities():

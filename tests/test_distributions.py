@@ -49,6 +49,16 @@ def test_exact_prob_validation(numerator, exponent, message):
         ExactProb(numerator=numerator, exponent=exponent)
 
 
+@pytest.mark.parametrize("numerator, exponent",
+                         [(1.5, 2), (1, 2.0), ("1", 2), (True, 2.5)])
+def test_exact_prob_fields_must_be_integers(numerator, exponent):
+    # 1.5 would print as "1.5/4"
+    with pytest.raises(TypeError):
+        ExactProb(numerator, exponent)
+    with pytest.raises(TypeError):
+        ExactProb(1, 2)._replace(numerator=numerator, exponent=exponent)
+
+
 def test_exact_prob_replace_validates():
     p = ExactProb(3, 2)
     assert p._replace(numerator=4) == ExactProb(4, 2)
@@ -130,13 +140,20 @@ def test_knot_probability_does_not_depend_on_query_order():
     catalogue = two_bridge_catalogue()
     assert len(catalogue) == 26
     queries = [(n, k) for n in (1500, 1501, 3009) for k in catalogue]
-    forward = {(n, k.canonical): knot_probability(k, n) for n, k in queries}
+    forward, warm = {}, {}
+    for i, (n, k) in enumerate(queries):
+        forward[n, k.canonical] = knot_probability(k, n)
+        if i % 26 == 12 and n < 3009:  # a whole row walks the anchor mid-length
+            warm[n] = crossing_pmf(n)
     backward = {(n, k.canonical): knot_probability(k, n) for n, k in reversed(queries)}
     fresh = {}
     for n, k in queries:
         counting._anchors.clear()
         fresh[n, k.canonical] = knot_probability(k, n)
     assert forward == backward == fresh
+    for n, pmf in warm.items():  # each pmf came after knot queries at its n
+        counting._anchors.clear()
+        assert pmf == crossing_pmf(n)
     values = [(*key, *p) for key, p in forward.items()]
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     assert digest == CATALOGUE_PROBABILITIES_SHA256
@@ -277,6 +294,24 @@ def test_beta_summary_tail_shrinks_with_delta():
     narrow = beta_summary(100, delta=0.05).tail_mass
     assert wide < narrow
     assert 0 <= wide <= narrow <= 1
+
+
+@pytest.mark.parametrize("n", [4, 7, 10, 13])
+def test_beta_summary_mode_ties_go_to_the_smaller_crossing_number(n):
+    masses = crossing_pmf(n).masses
+    assert masses[3] == masses[4] == max(masses.values(), key=lambda p: p.numerator)
+    assert beta_summary(n).mode == 3
+
+
+@pytest.mark.parametrize("n, wide, narrow", [
+    (6, Fraction(23, 32), Fraction(5, 32)),
+    (7, Fraction(11, 16), Fraction(1, 8)),
+])
+def test_unknot_leaves_the_tail_as_delta_passes_beta(n, wide, narrow):
+    # c = 0 sits BETA ~ 0.309 from beta: in the tail at delta 0.30, out at 0.31
+    assert beta_summary(n, delta=0.30).tail_mass == wide
+    assert beta_summary(n, delta=0.31).tail_mass == narrow
+    assert wide - narrow == crossing_pmf(n).unknot_mass.fraction
 
 
 def test_beta_constant():

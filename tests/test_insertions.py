@@ -95,6 +95,24 @@ def test_location_set_validation(locations, capacity, message):
         LocationSet(locations=locations, capacity=capacity)
 
 
+def test_location_set_stores_a_tuple_of_ints():
+    loc = LocationSet([1, 5], 2)
+    assert loc.locations == (1, 5) and type(loc.locations) is tuple
+    assert hash(loc) == hash(LocationSet((1, 5), 2))
+    trace = reconstruct("101", 2, loc)
+    assert trace.locations == (1, 5) and type(trace.locations) is tuple
+    assert type(LocationSet((), 2)._replace(locations=[1, 5]).locations) is tuple
+
+
+@pytest.mark.parametrize("locations, capacity", [([1.5], 2), ([2.0], 2), (["2"], 2),
+                                                 ((1,), 2.0)])
+def test_location_set_fields_must_be_integers(locations, capacity):
+    with pytest.raises(TypeError):
+        LocationSet(locations, capacity)
+    with pytest.raises(TypeError):
+        LocationSet((), 2)._replace(locations=locations, capacity=capacity)
+
+
 def test_location_set_is_immutable():
     loc = LocationSet((1, 5), 2)
     assert repr(loc) == "LocationSet(locations=(1, 5), capacity=2)"
