@@ -128,13 +128,9 @@ def _cmd_pmf(args, guards) -> None:
     words.check_length(args.n)
     words.check_guard("n", args.n, guards["pmf_max_n"], "pmf")
     pmf = distributions.crossing_pmf(args.n)
-    text = ""
-    if args.format == "text":  # only the asked-for view is built
-        over = f"/{1 << args.n}"
-        text = "\n".join(
-            f"c={c}{' (unknot)' if c == 0 else ''}: {p.numerator}{over} = {float(p):.6g}"
-            for c, p in pmf.by_crossing())
-    _emit(args, pmf.to_json() if args.format == "json" else {}, text,
+    # only the asked-for view is built
+    _emit(args, pmf.to_json() if args.format == "json" else {},
+          pmf.to_text() if args.format == "text" else "",
           pmf.to_csv_rows() if args.format == "csv" else [],
           ("c", "numerator", "denominator", "float"))
 

@@ -48,8 +48,7 @@ class ExactProb(_ExactProbFields):
             raise ValueError("numerator and exponent must be nonnegative")
         if numerator > (1 << exponent):
             raise ValueError("probability above 1")
-        # built once per mass; tuple.__new__ skips the fields' generated __new__
-        return tuple.__new__(cls, (numerator, exponent))
+        return super().__new__(cls, numerator, exponent)
 
     @property
     def denominator(self) -> int:
@@ -88,39 +87,52 @@ def knot_probability(knot: KnotClass, n: int) -> ExactProb:
 
 
 class CrossingPmf(NamedTuple):
-    """Exact crossing-number distribution of a random n-crossing diagram."""
+    """Exact crossing-number distribution of a random n-crossing diagram.
+
+    counts maps c = 0 (the unknot), then each c in 3..n in increasing order,
+    to the number of the 2**n words of length n that reach it: the mass at c
+    is counts[c] / 2**n, and 2**n is the one denominator of every view below.
+    """
 
     n: int
-    unknot_mass: ExactProb
-    masses: dict[int, ExactProb]  # crossing number c in {3..n} -> mass
+    counts: dict[int, int]
+
+    @property
+    def unknot_mass(self) -> ExactProb:
+        return ExactProb(self.counts[0], self.n)
+
+    @property
+    def masses(self) -> dict[int, ExactProb]:  # c in 3..n -> mass, built on each access
+        return {c: ExactProb(k, self.n) for c, k in self.counts.items() if c}
 
     def total(self) -> Fraction:
         from fractions import Fraction
 
-        # every mass is over 2**n: sum the numerators, divide once
-        return Fraction(sum(p.numerator for _, p in self.by_crossing()), 1 << self.n)
+        return Fraction(sum(self.counts.values()), 1 << self.n)
 
     def as_float_dict(self) -> dict[int, float]:
         """Float view keyed by crossing number, with the unknot at 0."""
-        return {c: float(p) for c, p in self.by_crossing()}
+        den = 1 << self.n  # int true division rounds as float(ExactProb) does
+        return {c: k / den for c, k in self.counts.items()}
 
-    def by_crossing(self) -> list[tuple[int, ExactProb]]:
-        """(c, mass) in order of crossing number, with the unknot at c = 0."""
-        return [(0, self.unknot_mass), *sorted(self.masses.items())]
+    def to_text(self) -> str:
+        """One 'c=...: count/2**n = float' line per row of to_csv_rows."""
+        return "\n".join(f"c={c}{' (unknot)' if c == 0 else ''}: {k}/{den} = {p:.6g}"
+                         for c, k, den, p in self.to_csv_rows())
 
     def to_json(self) -> dict:
-        over = f"/{1 << self.n}"  # every mass is over 2**n: format it once
-        masses = sorted(self.masses.items())
+        over = f"/{1 << self.n}"  # formatted once
         return {
             "n": self.n,
-            "unknot": f"{self.unknot_mass.numerator}{over}",
-            "pmf": {str(c): f"{p.numerator}{over}" for c, p in masses},
+            "unknot": f"{self.counts[0]}{over}",
+            "pmf": {str(c): f"{k}{over}" for c, k in self.counts.items() if c},
         }
 
     def to_csv_rows(self) -> list[tuple]:
         """(c, numerator, denominator, float) rows, with 2**n formatted once."""
-        den = str(1 << self.n)
-        return [(c, p.numerator, den, float(p)) for c, p in self.by_crossing()]
+        den = 1 << self.n
+        text = str(den)
+        return [(c, k, text, k / den) for c, k in self.counts.items()]
 
 
 def crossing_pmf(n: int) -> CrossingPmf:
@@ -128,24 +140,24 @@ def crossing_pmf(n: int) -> CrossingPmf:
 
     Reduced words with c runs and k two-letter runs have length c + k and
     C(c-2, k) run patterns; each reaches count_full((n-c-k)/3, c+k) words
-    of length n, and halving the 2**n total for the two starting bits
-    gives the mass.  Every such count has 3m + ell = n, so the counts are
+    of length n, and the two starting bits double the sum to the word count
+    at c.  Every such count has 3m + ell = n, so the counts are
     the row count_full(m, n - 3m), m = 0..n//3; asked in order of m, each
     steps row n's anchor once.  Placed at position 3m of a vector G,
     the sum over k at crossing number c is coefficient n-c of
     (1+x)**(c-2) * G, so each c costs one pass of additions over G.  The
-    masses plus the unknot mass sum to exactly 1.  oracle keeps the term
-    by term double sum as the reference.
+    counts, the unknot's included, sum to exactly 2**n.  oracle keeps the
+    term by term double sum as the reference.
     """
     check_length(n)
     g = [0] * (n + 1)
     g[::3] = [count_full(m, n - 3 * m) for m in range(n // 3 + 1)]
-    masses = {}
+    counts = {0: knot_probability(UNKNOT_CLASS, n).numerator}
     for c in range(3, n + 1):
         r = n - c  # only coefficients up to n - c are still needed
         g = [g[0], *map(operator.add, g[1 : r + 1], g[:r])]
-        masses[c] = ExactProb(2 * g[r], n)
-    return CrossingPmf(n, knot_probability(UNKNOT_CLASS, n), masses)
+        counts[c] = 2 * g[r]
+    return CrossingPmf(n, counts)
 
 
 def _log2_int(x: int) -> float:
@@ -197,12 +209,12 @@ def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
     """
     from fractions import Fraction
 
-    pmf = crossing_pmf(n)
-    if not pmf.masses:
+    counts = crossing_pmf(n).counts
+    if n < 3:
         raise ValueError(f"n={n} has no crossing mass, so the pmf has no mode")
-    # every mass is over 2**n, so numerators compare and add as the masses do
-    mode = max(pmf.masses, key=lambda c: (pmf.masses[c].numerator, -c))
-    tail = sum(p.numerator for c, p in pmf.by_crossing() if abs(c / n - BETA) > delta)
+    # every count is over 2**n, so counts compare and add as the masses do
+    mode = max(range(3, n + 1), key=lambda c: (counts[c], -c))
+    tail = sum(k for c, k in counts.items() if abs(c / n - BETA) > delta)
     return BetaSummary(n, mode, mode / n, BETA, abs(mode / n - BETA), delta,
                        Fraction(tail, 1 << n))
 

@@ -12,7 +12,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple
 
 from .counting import binomial, count_full
-from .distributions import CrossingPmf, ExactProb, knot_probability
+from .distributions import CrossingPmf, knot_probability
 from .words import (
     MIRROR_IDENTIFIED,
     UNKNOT_CLASS,
@@ -84,20 +84,20 @@ def crossing_pmf_by_double_sum(n: int) -> CrossingPmf:
 
     For each c, reduced words with c runs and k two-letter runs have length
     c + k; summing the word counts over admissible k (k <= c - 2 and
-    c + k = n mod 3) and halving the 2**n total for the two starting bits
-    gives the mass.  About n**2/6 count_full calls, each a sum over row n;
-    distributions.crossing_pmf must give the same masses.
+    c + k = n mod 3) and doubling for the two starting bits gives the word
+    count at c.  About n**2/6 count_full calls, each a sum over row n;
+    distributions.crossing_pmf must give the same counts.
     """
     check_length(n)
-    masses = {}
+    counts = {0: knot_probability(UNKNOT_CLASS, n).numerator}
     for c in range(3, n + 1):
         acc = 0
         k = (n - c) % 3
         while k <= c - 2 and n - c - k >= 0:
             acc += binomial(c - 2, k) * count_full((n - c - k) // 3, c + k)
             k += 3
-        masses[c] = ExactProb(2 * acc, n)
-    return CrossingPmf(n, knot_probability(UNKNOT_CLASS, n), masses)
+        counts[c] = 2 * acc
+    return CrossingPmf(n, counts)
 
 
 def tally_terminals(n: int, *, max_n: int = 22) -> Counter:

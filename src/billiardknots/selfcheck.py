@@ -3,17 +3,17 @@
 Each check returns (name, ok, detail); on failure the detail names the
 input that failed.  These functions are the only implementation of each
 audit: the package's tests call them at their own sizes and assert on the
-result.  The quick set runs in a few seconds; --deep repeats the expensive
-audits at larger sizes.
+result.  run_selfcheck runs them from one table, SELFCHECKS: the quick set
+runs in a few seconds; --deep repeats the expensive audits at larger sizes
+and adds the pmf's double-sum reference and the alpha gap.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
-from typing import Callable
+from typing import Callable, Optional
 
 from . import counting, distributions, insertions, oracle, words
 
@@ -145,16 +145,13 @@ def check_distribution(
                 return ("distribution", False, f"n={n} {mode}: {exc}")
             for canonical, cnt in dist.counts.items():
                 p = distributions.knot_probability(dist.classes[canonical], n)
-                if p.fraction != Fraction(cnt, dist.total):
-                    return (
-                        "distribution",
-                        False,
-                        f"n={n} {mode} {canonical!r}: {p} != {cnt}/{dist.total}",
-                    )
+                if p != distributions.ExactProb(cnt, n):  # both out of 2**n words
+                    detail = f"n={n} {mode} {canonical!r}: {p} != {cnt}/{dist.total}"
+                    return ("distribution", False, detail)
             for c, cnt in dist.crossing_counts.items():
-                mass = pmf.unknot_mass if c == 0 else pmf.masses[c]
-                if mass.fraction != Fraction(cnt, dist.total):
-                    return ("distribution", False, f"n={n} c={c} mismatch")
+                if pmf.counts.get(c) != cnt:
+                    detail = f"n={n} c={c}: {pmf.counts.get(c)} != {cnt} words"
+                    return ("distribution", False, detail)
     return ("distribution", True, f"n in {sorted(lengths)}")
 
 
@@ -163,13 +160,12 @@ def check_pmf_reference(max_n: int) -> Check:
     for n in range(max_n + 1):
         if n % 3 == 2:
             continue
-        fast = distributions.crossing_pmf(n)
-        slow = oracle.crossing_pmf_by_double_sum(n)
-        for c in range(n + 1):
-            got = fast.unknot_mass if c == 0 else fast.masses.get(c)
-            expected = slow.unknot_mass if c == 0 else slow.masses.get(c)
-            if got != expected:
-                return ("pmf-reference", False, f"n={n} c={c}: {got} != {expected}")
+        fast = distributions.crossing_pmf(n).counts
+        slow = oracle.crossing_pmf_by_double_sum(n).counts
+        for c in sorted(fast.keys() | slow.keys()):
+            if fast.get(c) != slow.get(c):
+                detail = f"n={n} c={c}: {fast.get(c)} != {slow.get(c)} words"
+                return ("pmf-reference", False, detail)
     return ("pmf-reference", True, f"n up to {max_n}")
 
 
@@ -271,25 +267,20 @@ def check_alpha_gap(lengths) -> Check:
     return ("alpha-gap", ok, " > ".join(f"{g:.4f}" for g in gaps))
 
 
+#: (check, quick arguments or None, deep arguments), in the order they run
+SELFCHECKS: list[tuple[Callable[..., Check], Optional[tuple], tuple]] = [
+    (check_reduce_engines, (9,), (12,)),
+    (check_confluence, (8,), (10,)),
+    (check_counting, (20,), (40,)),
+    (check_insertion_counts, (2,), (3,)),
+    (check_distribution, ((3, 4, 6, 7),), ((1, 3, 4, 6, 7, 9, 10, 12, 13),)),
+    (check_normalization, (21,), (40,)),
+    (check_pmf_reference, None, (60,)),
+    (check_location_roundtrip, (3, 2), (4, 3)),
+    (check_alpha_gap, None, ((99, 300, 999),)),
+]
+
+
 def run_selfcheck(deep: bool = False) -> list[Check]:
-    quick: list[Callable[[], Check]] = [
-        lambda: check_reduce_engines(9),
-        lambda: check_confluence(8),
-        lambda: check_counting(20),
-        lambda: check_insertion_counts(2),
-        lambda: check_distribution((3, 4, 6, 7)),
-        lambda: check_normalization(21),
-        lambda: check_location_roundtrip(3, 2),
-    ]
-    deep_only: list[Callable[[], Check]] = [
-        lambda: check_reduce_engines(12),
-        lambda: check_confluence(10),
-        lambda: check_counting(40),
-        lambda: check_insertion_counts(3),
-        lambda: check_distribution((1, 3, 4, 6, 7, 9, 10, 12, 13)),
-        lambda: check_normalization(40),
-        lambda: check_location_roundtrip(4, 3),
-        lambda: check_alpha_gap((99, 300, 999)),
-    ]
-    checks = deep_only if deep else quick
-    return [fn() for fn in checks]
+    runs = ((fn, deep_args if deep else quick) for fn, quick, deep_args in SELFCHECKS)
+    return [fn(*args) for fn, args in runs if args is not None]

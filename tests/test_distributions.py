@@ -12,6 +12,7 @@ from billiardknots.distributions import (
     LOG2_ALPHA,
     X0,
     Y0,
+    CrossingPmf,
     ExactProb,
     alpha_rate,
     beta_summary,
@@ -223,6 +224,25 @@ def test_crossing_pmf_json_shape():
     assert data["n"] == 6
     assert data["unknot"] == "36/64"
     assert data["pmf"]["3"] == "18/64"
+
+
+def test_hand_built_pmf_reads_every_count_over_2_to_the_n():
+    # a count has no denominator of its own, so no view can disagree on it
+    pmf = CrossingPmf(3, {0: 6, 3: 2})
+    assert pmf.masses == {3: ExactProb(2, 3)}
+    assert pmf.unknot_mass == ExactProb(6, 3)
+    assert pmf.total() == 1
+    assert pmf.to_json() == {"n": 3, "unknot": "6/8", "pmf": {"3": "2/8"}}
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 31])
+def test_float_view_keeps_the_unknot_then_each_crossing_number_in_order(n):
+    # sampler.tv_distance sums over these keys in this order
+    pmf = crossing_pmf(n)
+    floats = pmf.as_float_dict()
+    assert list(floats) == [0, *range(3, n + 1)]
+    assert list(floats.values()) == [float(p) for p in (pmf.unknot_mass,
+                                                        *pmf.masses.values())]
 
 
 def test_unknot_count_corrected_external_weights():

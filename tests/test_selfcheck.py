@@ -49,53 +49,73 @@ def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
         external_moves(stack, first, last, step)
 
 
-PLANTED = [  # (a check at a small size, module, name, wrong stand-in)
-    (lambda: sc.check_reduce_engines(3), words, "reduce", lambda w: w),
-    (lambda: sc.check_confluence(3), words, "reduce", lambda w: w),
-    (lambda: sc.check_confluence(3), oracle, "all_terminal_words",
-     lambda w: {"101", "010"}),
-    (lambda: sc.check_counting(6), counting, "binomial_lt",
-     lambda n, m: binomial_lt(n, m) + (m == 3)),
-    (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_binomial_at_3),
-    (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_walk("pair")),
-    (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_walk("up")),
-    (lambda: sc.check_counting(6), counting, "_binomial_and_below", _bump_walk("down")),
-    (lambda: sc.check_count_full_summation(4), counting, "count_full",
-     lambda m, ell: count_full(m, ell) + (m == 2)),
-    (lambda: sc.check_insertion_counts(2), counting, "count_internal",
-     lambda ell, m: count_internal(ell, m) + (m == 2)),
-    (lambda: sc.check_insertion_counts(2), counting, "count_full",
-     lambda m, ell: count_full(m, ell) + (m == 1)),
-    (lambda: sc.check_distribution((3, 4)), distributions, "count_full",
-     lambda m, ell: count_full(m, ell) + (m == 1)),
-    (lambda: sc.check_distribution((3,), (words.CHIRAL,)), distributions,
-     "knot_probability", lambda knot, n: distributions.ExactProb(0, n)),
+PLANTED = [  # (a check at a small size, module, name, wrong stand-in), named by id
+    pytest.param(lambda: sc.check_reduce_engines(3), words, "reduce", lambda w: w,
+                 id="check_reduce_engines-reduce"),
+    pytest.param(lambda: sc.check_confluence(3), words, "reduce", lambda w: w,
+                 id="check_confluence-reduce"),
+    pytest.param(lambda: sc.check_confluence(3), oracle, "all_terminal_words",
+                 lambda w: {"101", "010"}, id="check_confluence-all_terminal_words"),
+    pytest.param(lambda: sc.check_counting(6), counting, "binomial_lt",
+                 lambda n, m: binomial_lt(n, m) + (m == 3),
+                 id="check_counting-binomial_lt"),
+    pytest.param(lambda: sc.check_counting(6), counting, "_binomial_and_below",
+                 _bump_binomial_at_3, id="check_counting-binomial_and_below-at_3"),
+    pytest.param(lambda: sc.check_counting(6), counting, "_binomial_and_below",
+                 _bump_walk("pair"), id="check_counting-binomial_and_below-pair_walk"),
+    pytest.param(lambda: sc.check_counting(6), counting, "_binomial_and_below",
+                 _bump_walk("up"), id="check_counting-binomial_and_below-up_walk"),
+    pytest.param(lambda: sc.check_counting(6), counting, "_binomial_and_below",
+                 _bump_walk("down"), id="check_counting-binomial_and_below-down_walk"),
+    pytest.param(lambda: sc.check_count_full_summation(4), counting, "count_full",
+                 lambda m, ell: count_full(m, ell) + (m == 2),
+                 id="check_count_full_summation-count_full"),
+    pytest.param(lambda: sc.check_insertion_counts(2), counting, "count_internal",
+                 lambda ell, m: count_internal(ell, m) + (m == 2),
+                 id="check_insertion_counts-count_internal"),
+    pytest.param(lambda: sc.check_insertion_counts(2), counting, "count_full",
+                 lambda m, ell: count_full(m, ell) + (m == 1),
+                 id="check_insertion_counts-count_full"),
+    pytest.param(lambda: sc.check_distribution((3, 4)), distributions, "count_full",
+                 lambda m, ell: count_full(m, ell) + (m == 1),
+                 id="check_distribution-count_full"),
+    pytest.param(lambda: sc.check_distribution((3,), (words.CHIRAL,)), distributions,
+                 "knot_probability", lambda knot, n: distributions.ExactProb(0, n),
+                 id="check_distribution-knot_probability"),
     # the oracle shares each class over the orbit its lookup names: "101" and
     # "010" are mirror images, so different chiral classes
-    (lambda: sc.check_distribution((3,), (words.CHIRAL,)), oracle, "symmetry_orbit",
-     lambda w, mode: symmetry_orbit(w, mode) | {"101"}),
-    (lambda: sc.check_distribution((3, 4)), words, "symmetry_orbit",
-     _orbit_without_resized_forms),
-    (lambda: sc.check_normalization(7), distributions, "count_full",
-     lambda m, ell: count_full(m, ell) + (m == 1)),
-    (lambda: sc.check_pmf_reference(13), distributions, "count_full",
-     lambda m, ell: count_full(m, ell) + (m == 1)),
-    (lambda: sc.check_sampler_crossings(6), sampler, "_external_moves",
-     _prefix_moves_only),
-    (lambda: sc.check_class_invariance(2), words, "knot_class",
-     lambda w: knot_class(w if len(w) < 9 else w[3:])),
-    (lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
-     lambda w, wp: None),
-    (lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
-     lambda w, wp: insertions.LocationSet((), (len(wp) - len(w)) // 3)),
-    (lambda: sc.check_location_roundtrip(2, 1), insertions, "reconstruct",
-     lambda w, m, locs: SimpleNamespace(word=None)),
-    (lambda: sc.check_feasibility(2, 2), insertions, "is_feasible",
-     lambda size, locs: True),
-    (lambda: sc.check_phi_gradient(1), distributions, "phi_gradient",
-     lambda x, y: (0.0, 0.0)),
-    (lambda: sc.check_alpha_gap((99, 300, 999)), distributions, "alpha_rate",
-     lambda knot, n: SimpleNamespace(gap=n / 1000)),
+    pytest.param(lambda: sc.check_distribution((3,), (words.CHIRAL,)), oracle,
+                 "symmetry_orbit", lambda w, mode: symmetry_orbit(w, mode) | {"101"},
+                 id="check_distribution-oracle_symmetry_orbit"),
+    pytest.param(lambda: sc.check_distribution((3, 4)), words, "symmetry_orbit",
+                 _orbit_without_resized_forms,
+                 id="check_distribution-words_symmetry_orbit"),
+    pytest.param(lambda: sc.check_normalization(7), distributions, "count_full",
+                 lambda m, ell: count_full(m, ell) + (m == 1),
+                 id="check_normalization-count_full"),
+    pytest.param(lambda: sc.check_pmf_reference(13), distributions, "count_full",
+                 lambda m, ell: count_full(m, ell) + (m == 1),
+                 id="check_pmf_reference-count_full"),
+    pytest.param(lambda: sc.check_sampler_crossings(6), sampler, "_external_moves",
+                 _prefix_moves_only, id="check_sampler_crossings-external_moves"),
+    pytest.param(lambda: sc.check_class_invariance(2), words, "knot_class",
+                 lambda w: knot_class(w if len(w) < 9 else w[3:]),
+                 id="check_class_invariance-knot_class"),
+    pytest.param(lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
+                 lambda w, wp: None, id="check_location_roundtrip-location_map_none"),
+    pytest.param(lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
+                 lambda w, wp: insertions.LocationSet((), (len(wp) - len(w)) // 3),
+                 id="check_location_roundtrip-location_map_empty"),
+    pytest.param(lambda: sc.check_location_roundtrip(2, 1), insertions, "reconstruct",
+                 lambda w, m, locs: SimpleNamespace(word=None),
+                 id="check_location_roundtrip-reconstruct"),
+    pytest.param(lambda: sc.check_feasibility(2, 2), insertions, "is_feasible",
+                 lambda size, locs: True, id="check_feasibility-is_feasible"),
+    pytest.param(lambda: sc.check_phi_gradient(1), distributions, "phi_gradient",
+                 lambda x, y: (0.0, 0.0), id="check_phi_gradient-phi_gradient"),
+    pytest.param(lambda: sc.check_alpha_gap((99, 300, 999)), distributions, "alpha_rate",
+                 lambda knot, n: SimpleNamespace(gap=n / 1000),
+                 id="check_alpha_gap-alpha_rate"),
 ]
 
 
@@ -121,3 +141,9 @@ def test_selfcheck_command_fails_on_a_planted_fault(monkeypatch, capsys):
 def test_distribution_check_names_lengths_given_as_a_generator():
     check = sc.check_distribution(n for n in (3, 4))
     assert check == ("distribution", True, "n in [3, 4]")
+
+
+def test_deep_selfcheck_passes_and_audits_the_pmf_reference():
+    results = sc.run_selfcheck(deep=True)
+    assert [name for name, ok, _ in results if not ok] == []
+    assert ("pmf-reference", True, "n up to 60") in results
