@@ -7,7 +7,6 @@ output boundary.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from math import comb
 
 
@@ -23,7 +22,7 @@ def binomial(n: int, k: int) -> int:
 def binomial_lt(n: int, m: int) -> int:
     """Partial row sum C(n,0) + C(n,1) + ... + C(n,m-1); 0 for m <= 0.
 
-    Read from _binomial_and_below, so it walks from the same anchors as
+    Read from _binomial_and_below, so it walks from the same anchor as
     count_full and count_internal, two terms per step on a long walk.
     """
     if n < 0:
@@ -33,37 +32,33 @@ def binomial_lt(n: int, m: int) -> int:
     return _binomial_and_below(n, m)[1]
 
 
-#: n -> (m0, C(n, m0), binomial_lt(n, m0)) where the last query at length
-#: n stopped, 0 <= m0 <= n; the least recently asked length goes first
-#: once more than _ANCHOR_LENGTHS are held
-_anchors: OrderedDict[int, tuple[int, int, int]] = OrderedDict()
-_ANCHOR_LENGTHS = 64
+#: (n, m, C(n, m), binomial_lt(n, m)) where the last query stopped, 0 <= m <= n
+_anchor = (0, 0, 1, 0)
 
 
 def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
-    """(C(n, m), binomial_lt(n, m)) for n, m >= 0, walked from row n's anchor.
+    """(C(n, m), binomial_lt(n, m)) for n, m >= 0, walked from the anchor.
 
-    The walk starts at the anchor, or at k = 0 when that is no farther, so
-    no query walks farther than a fresh pass to m; then the anchor moves
-    to m.  A walk up by 4 or more, as is every pass from k = 0, adds the
-    pair C(n, j) + C(n, j+1) = C(n+1, j+1) and moves it two positions per
-    step, times (n-j)(n-j-1) / ((j+2)(j+3)): one 30-bit digit each for
-    n <= 32768.  Short and downward walks step once, by C(n, j+1) =
-    C(n, j) * (n-j) / (j+1) or its inverse.  The knots at one length ask
-    for a few m within 3 of each other, so after one partial row pass
-    each further m costs a few steps; a whole row asked in order of m, as
-    crossing_pmf asks it, steps once per entry.
+    The walk starts at the anchor when it is on row n and nearer than
+    k = 0, else at k = 0, so no query walks farther than a fresh pass to
+    m; then the anchor moves to (n, m).  A walk up by 4 or more, as is
+    every pass from k = 0, adds the pair C(n, j) + C(n, j+1) = C(n+1, j+1)
+    and moves it two positions per step, times (n-j)(n-j-1) / ((j+2)(j+3)):
+    one 30-bit digit each for n <= 32768.  Short and downward walks step
+    once, by C(n, j+1) = C(n, j) * (n-j) / (j+1) or its inverse.  The knots
+    at one length ask for a few m within 3 of each other, so after one
+    partial row pass each further m costs a few steps; a whole row asked
+    in order of m, as crossing_pmf asks it, steps once per entry.  A
+    length asked again after another length pays its pass again.
 
-    Each touch of the store is one OrderedDict call, atomic under the
-    interpreter lock: a query takes its anchor out whole and puts a new
-    one back, so a query interleaved with it at the same length starts
-    from k = 0 (a longer walk, never a wrong pair), and two evictions
-    racing past the bound only drop one length too many.
+    The anchor is one tuple, read and replaced whole, so an interleaved
+    query starts from a true pair, never a mix of two.
     """
+    global _anchor
     if m > n:
         return 0, 1 << n
-    j, binom, below = _anchors.pop(n, (0, 1, 0))
-    if abs(m - j) >= m:
+    row, j, binom, below = _anchor
+    if row != n or abs(m - j) >= m:
         j, binom, below = 0, 1, 0
     if m - j >= 4:
         pair = binom * (n + 1) // (j + 1)  # C(n+1, j+1)
@@ -80,9 +75,7 @@ def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
         binom = binom * j // (n - j + 1)
         below -= binom
         j -= 1
-    _anchors[n] = (m, binom, below)
-    if len(_anchors) > _ANCHOR_LENGTHS:
-        _anchors.popitem(last=False)
+    _anchor = (n, m, binom, below)
     return binom, below
 
 
@@ -107,7 +100,7 @@ def count_internal(ell: int, m: int) -> int:
 
     Equals the sum of feasible_count(3*m + ell, s) for s in 0..m and does
     not depend on the base word itself.  C(n, m) and the partial sum below
-    it, n = 3*m + ell, are walked from row n's anchor (_binomial_and_below).
+    it, n = 3*m + ell, are walked from the anchor (_binomial_and_below).
     """
     if ell < 0 or m < 0:
         raise ValueError("ell and m must be nonnegative")
@@ -122,7 +115,7 @@ def count_full(m: int, ell: int) -> int:
     Evaluated at doubled scale so the two half-integer polynomial
     coefficients stay integral; the final division by 2 is checked exact,
     which catches any transcription slip in the coefficients.  C(n, m)
-    and the partial sum below it, n = 3*m + ell, are walked from row n's
+    and the partial sum below it, n = 3*m + ell, are walked from the
     anchor (_binomial_and_below), so counts at one length with nearby m
     share one partial row pass, and a whole row asked in order of m
     steps once per entry.

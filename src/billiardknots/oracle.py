@@ -85,8 +85,9 @@ def crossing_pmf_by_double_sum(n: int) -> CrossingPmf:
     For each c, reduced words with c runs and k two-letter runs have length
     c + k; summing the word counts over admissible k (k <= c - 2 and
     c + k = n mod 3) and doubling for the two starting bits gives the word
-    count at c.  About n**2/6 count_full calls, each a sum over row n;
-    distributions.crossing_pmf must give the same counts.
+    count at c.  About n**2/12 count_full calls, all on row n, averaging
+    under two walk steps each; distributions.crossing_pmf must give the
+    same counts.
     """
     check_length(n)
     counts = {0: knot_probability(UNKNOT_CLASS, n).numerator}

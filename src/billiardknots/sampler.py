@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import CrossingPmf
 from .words import check_length
+
+if TYPE_CHECKING:  # distributions loads only where a caller builds the exact pmf
+    from .distributions import CrossingPmf
 
 _BATCH = 4096
 # rows are reduced in blocks with one uint8 stack cell per letter, at most
@@ -177,6 +179,8 @@ def sample_pmf(
     it must lie in 0 .. 2**64 - 1.
     """
     count, seed, workers = check_sample(n, count, seed, workers)
+    if exact is not None and exact.n != n:
+        raise ValueError(f"exact pmf is for n={exact.n}, not n={n}")
 
     histogram: Counter[int] = Counter()
     block_rows = max(1, min(_BATCH, _BLOCK_CELLS // max(n, 1)))
@@ -193,12 +197,9 @@ def sample_pmf(
     _tally(histogram, held, block_rows)
 
     tv = None
-    if exact is not None:
-        if exact.n != n:
-            raise ValueError(f"exact pmf is for n={exact.n}, not n={n}")
-        if count > 0:
-            empirical = {c: k / count for c, k in histogram.items()}
-            tv = tv_distance(empirical, exact.as_float_dict())
+    if exact is not None and count > 0:
+        empirical = {c: k / count for c, k in histogram.items()}
+        tv = tv_distance(empirical, exact.as_float_dict())
     return SampleReport(n, count, seed, workers, dict(histogram), tv)
 
 

@@ -282,5 +282,14 @@ SELFCHECKS: list[tuple[Callable[..., Check], Optional[tuple], tuple]] = [
 
 
 def run_selfcheck(deep: bool = False) -> list[Check]:
-    runs = ((fn, deep_args if deep else quick) for fn, quick, deep_args in SELFCHECKS)
-    return [fn(*args) for fn, args in runs if args is not None]
+    """Run one column of SELFCHECKS; a check that raises fails with
+    (its function's name, False, "<ExceptionType>: <message>")."""
+    results = []
+    for fn, quick, deep_args in SELFCHECKS:
+        args = deep_args if deep else quick
+        if args is not None:
+            try:
+                results.append(fn(*args))
+            except Exception as exc:
+                results.append((fn.__name__, False, f"{type(exc).__name__}: {exc}"))
+    return results

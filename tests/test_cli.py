@@ -458,6 +458,17 @@ def test_probabilities_load_fractions_only_for_exact_fraction_views():
     assert done.returncode == 0, done.stderr
 
 
+def test_sampler_import_leaves_the_counting_modules_unloaded():
+    script = textwrap.dedent("""
+        import sys
+        import billiardknots.sampler
+        heavy = {"billiardknots.distributions", "billiardknots.counting"}
+        assert not heavy & set(sys.modules), heavy & set(sys.modules)
+    """)
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
 def test_python_dash_m_runs_the_cli():
     done = run_python("-m", "billiardknots", "reduce", "100001001110")
     assert done.returncode == 0, done.stderr

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from billiardknots import sampler
 from billiardknots.distributions import BETA, crossing_pmf
 from billiardknots.sampler import sample_pmf, tv_distance
 from billiardknots.selfcheck import check_sampler_crossings
@@ -92,6 +93,14 @@ def test_tv_against_exact_attached_to_report():
     assert report.tv_distance_to_exact < 0.05
     with pytest.raises(ValueError):
         sample_pmf(9, 10, seed=1, exact=exact)
+
+
+def test_mismatched_exact_pmf_is_rejected_before_drawing(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("words drawn before the exact pmf was checked")
+    monkeypatch.setattr(sampler, "_draws", no_draws)
+    with pytest.raises(ValueError, match="exact pmf is for n=30, not n=300"):
+        sample_pmf(300, 100_000, 1, exact=crossing_pmf(30))
 
 
 def test_tv_shrinks_with_more_samples():

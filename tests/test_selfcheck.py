@@ -4,7 +4,6 @@ The acceptance suite and the unit tests assert on these checks, so a check
 that always passed would hide every fault.
 """
 
-from collections import OrderedDict
 from types import SimpleNamespace
 
 import pytest
@@ -30,8 +29,8 @@ def _bump_walk(kind):
     """A _binomial_and_below whose C(n, m) is one too high after one kind of
     walk only: "pair" (up by 4 or more), "up" (up by 1 to 3) or "down"."""
     def wrong(n, m):
-        j = counting._anchors.get(n, (0,))[0]  # where the original will start
-        if abs(m - j) >= m:
+        row, j = counting._anchor[:2]  # where the original will start
+        if row != n or abs(m - j) >= m:
             j = 0
         walk = "pair" if m - j >= 4 else "up" if m > j else "down" if m < j else None
         binom, below = binomial_and_below(n, m)
@@ -121,7 +120,7 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in), named by
 
 @pytest.mark.parametrize("run,module,name,wrong", PLANTED)
 def test_shared_check_catches_a_planted_fault(run, module, name, wrong, monkeypatch):
-    monkeypatch.setattr(counting, "_anchors", OrderedDict())  # no wrong pair outlives it
+    monkeypatch.setattr(counting, "_anchor", (0, 0, 1, 0))  # no wrong pair outlives it
     _, ok, passed = run()
     assert ok, passed
     monkeypatch.setattr(module, name, wrong)
@@ -136,6 +135,19 @@ def test_selfcheck_command_fails_on_a_planted_fault(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  confluence: " in out
     assert out.count("PASS") == 6
+
+
+def test_selfcheck_command_reports_a_check_that_raises(monkeypatch, capsys):
+    assert main(["selfcheck"]) == 0
+    passing = capsys.readouterr().out.splitlines()
+    real = distributions.count_full
+    monkeypatch.setattr(distributions, "count_full", lambda m, ell: real(m, ell) * 4)
+    assert main(["selfcheck"]) == 1  # not 2: the raise is a failed check, not bad input
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == passing[:4]  # the checks before it ran and passed
+    assert lines[4] == "FAIL  check_distribution: ValueError: probability above 1"
+    assert lines[-1] == passing[-1]  # and the checks after it still ran
+    assert lines[-1].startswith("PASS  location-roundtrip")
 
 
 def test_distribution_check_names_lengths_given_as_a_generator():
