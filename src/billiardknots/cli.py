@@ -200,7 +200,7 @@ def _cmd_trace(args, guards) -> None:
 
 
 def _cmd_sample(args, guards) -> None:
-    from . import distributions, sampler  # numpy: only this command pays for it
+    from . import sampler  # numpy: only this command pays for it
 
     sampler.check_sample(args.n, args.count, args.seed, args.workers)  # before the guard
     # a step of the lockstep walk over the n letter columns has a fixed cost
@@ -214,6 +214,8 @@ def _cmd_sample(args, guards) -> None:
     words.check_guard(label, letters, guards["sample_max_letters"], "sample")
     exact = None
     if args.n <= _SAMPLE_EXACT_LIMIT:
+        from . import distributions
+
         exact = distributions.crossing_pmf(args.n)
     report = sampler.sample_pmf(args.n, args.count, args.seed,
                                 workers=args.workers, exact=exact)

@@ -9,10 +9,8 @@ resource guards.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .counting import binomial, count_full
-from .distributions import CrossingPmf, knot_probability
 from .words import (
     MIRROR_IDENTIFIED,
     UNKNOT_CLASS,
@@ -27,6 +25,9 @@ from .words import (
     reduce,
     symmetry_orbit,
 )
+
+if TYPE_CHECKING:
+    from .distributions import CrossingPmf
 
 INTERNAL_ONLY = "internal-only"
 ALL = "all"
@@ -89,6 +90,10 @@ def crossing_pmf_by_double_sum(n: int) -> CrossingPmf:
     under two walk steps each; distributions.crossing_pmf must give the
     same counts.
     """
+    # imported here, so that the enumeration commands load neither module
+    from .counting import binomial, count_full
+    from .distributions import CrossingPmf, knot_probability
+
     check_length(n)
     counts = {0: knot_probability(UNKNOT_CLASS, n).numerator}
     for c in range(3, n + 1):

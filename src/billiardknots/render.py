@@ -1,11 +1,16 @@
 """Billiard-table diagram geometry and SVG output.
 
-The trajectory is the slope-one billiard path in a 3-row, (n+1)-column
-table, fired from the lower-left corner.  Its n self-intersections, read
-left to right, carry the letters of the word: by default a '1' puts the
-positive-slope strand on top, and --flip-crossings inverts that.  The
-mapping of letter values to crossing states is a convention of this
-package, not forced by the diagrams themselves.
+The trajectory is the slope-one billiard path in a 3-row, b-column table,
+b = n + 1, fired from the lower-left corner.  Unfolded it is the diagonal
+t -> (t, t), so at time t in [0, 3b] it is at (fold(t, b), fold(t, 3)),
+fold(t, L) being t mod 2L reflected into [0, L].  It bounces at each
+multiple of 3 and at b and 2b, and ends in a corner at t = 3b.  Column
+x is passed at t = x, 2b - x and 2b + x: one pass bounces off the top or
+bottom, and the other two cross at (x, 1) for odd x, (x, 2) for even x.
+These n crossings, read left to right, carry the letters of the word: by
+default a '1' puts the positive-slope strand on top, and --flip-crossings
+inverts that.  The mapping of letter values to crossing states is a
+convention of this package, not forced by the diagrams themselves.
 
 Every coordinate is a whole pixel: the table point (x, y) is drawn at
 (40x + 60, 180 - 40y), and an under-strand stops 8 px either side of its
@@ -37,57 +42,35 @@ class BilliardGeometry(NamedTuple):
         return tuple(zip(self.vertices, self.vertices[1:]))
 
 
-def _trace(width: int) -> list[tuple[int, int]]:
-    x, y = 0, 0
-    dx, dy = 1, 1
-    vertices = [(0, 0)]
-    while True:
-        step_x = (width - x) if dx > 0 else x
-        step_y = (TABLE_HEIGHT - y) if dy > 0 else y
-        step = min(step_x, step_y)
-        x += dx * step
-        y += dy * step
-        vertices.append((x, y))
-        if x in (0, width) and y in (0, TABLE_HEIGHT):
-            return vertices
-        if x in (0, width):
-            dx = -dx
-        if y in (0, TABLE_HEIGHT):
-            dy = -dy
-
-
-def _interior_points(vertices):
-    """(x, y, segment index) at each integer x strictly inside each segment.
-
-    The segments have slope +1 or -1 between lattice points, so these are
-    all the lattice points the trajectory passes away from its bounces.
-    """
-    for index, ((x1, y1), (x2, y2)) in enumerate(zip(vertices, vertices[1:])):
-        step = 1 if x2 > x1 else -1
-        slope = (y2 - y1) // (x2 - x1)
-        for x in range(x1 + step, x2, step):
-            yield x, y1 + slope * (x - x1), index
+def _fold(t: int, length: int) -> int:
+    """t mod 2 * length, reflected into [0, length]."""
+    t %= 2 * length
+    return min(t, 2 * length - t)
 
 
 def _geometry_and_strands(
     n: int,
 ) -> tuple[BilliardGeometry, dict[tuple[int, int], list[int]]]:
-    """The geometry for length n, and the segment indices through each point.
-
-    A crossing is a lattice point that two strands pass through; the
-    trajectory is read off once, in time linear in n.
-    """
+    """The geometry for length n, and the two segment indices through each
+    crossing, in the order the trajectory passes them."""
     width = check_length(n) + 1
     if n < 1:
         raise ValueError("a diagram needs n >= 1")
-    vertices = _trace(width)
+    twice = 2 * width
+    bounces = sorted([*range(0, TABLE_HEIGHT * width + 1, TABLE_HEIGHT), width, twice])
+    vertices = tuple([(_fold(t, width), _fold(t, TABLE_HEIGHT)) for t in bounces])
+    segment = list(range(len(bounces) - 1))  # one int per segment, shared by its strands
     through: dict[tuple[int, int], list[int]] = {}
-    for x, y, index in _interior_points(vertices):
-        through.setdefault((x, y), []).append(index)
-    crossings = tuple(sorted(p for p, strands in through.items() if len(strands) > 1))
-    if len(crossings) != n or [p[0] for p in crossings] != list(range(1, n + 1)):
-        raise AssertionError(f"unexpected crossing layout for n={n}: {crossings}")
-    return BilliardGeometry(width, tuple(vertices), crossings), through
+    for x in range(1, width):
+        y = 2 - x % 2
+        through[x, y] = strands = [
+            segment[t // TABLE_HEIGHT + (t > width) + (t > twice)]
+            for t in (x, twice - x, twice + x)
+            if t % 6 in (y, 6 - y)  # _fold(t, TABLE_HEIGHT) == y
+        ]
+        if len(strands) != 2:
+            raise AssertionError(f"unexpected crossing layout for n={n} at x={x}")
+    return BilliardGeometry(width, vertices, tuple(through)), through
 
 
 def billiard_geometry(n: int) -> BilliardGeometry:

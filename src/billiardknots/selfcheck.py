@@ -1,11 +1,16 @@
 """Built-in consistency checks wiring the formulas against the brute force.
 
-Each check returns (name, ok, detail); on failure the detail names the
-input that failed.  These functions are the only implementation of each
-audit: the package's tests call them at their own sizes and assert on the
-result.  run_selfcheck runs them from one table, SELFCHECKS: the quick set
-runs in a few seconds; --deep repeats the expensive audits at larger sizes
-and adds the pmf's double-sum reference and the alpha gap.
+Each check returns (name, ok, detail): the name is the function's name
+without "check_" and with "-" for "_", and on failure the detail names
+the input that failed.  These functions are the only implementation of
+each audit: the package's tests call them at their own sizes and assert
+on the result.  run_selfcheck runs them from one table, SELFCHECKS: the
+quick set runs in a fraction of a second; --deep repeats the expensive
+audits at larger sizes and adds the count_full summation, class
+invariance, feasibility, phi gradient, the pmf's double-sum reference and
+the alpha gap.  check_sampler_crossings runs only from the tests: it
+needs numpy, and importing numpy alone takes longer than a whole quick
+selfcheck process.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ def check_confluence(max_n: int) -> Check:
     return ("confluence", True, f"all words up to length {max_n}")
 
 
-def check_counting(limit: int) -> Check:
+def check_counting_identities(limit: int) -> Check:
     """The anchored (C(n, m), partial row sum) pair equals math.comb and its
     prefix sums with m walked up the row one step at a time, back down, and
     then reached from k = 0 by the two-position walk for every m >= 4, so
@@ -169,7 +174,7 @@ def check_pmf_reference(max_n: int) -> Check:
     return ("pmf-reference", True, f"n up to {max_n}")
 
 
-def check_normalization(max_n: int) -> Check:
+def check_pmf_normalization(max_n: int) -> Check:
     """Crossing pmf masses sum to exactly 1."""
     for n in range(1, max_n + 1):
         if n % 3 == 2:
@@ -271,19 +276,23 @@ def check_alpha_gap(lengths) -> Check:
 SELFCHECKS: list[tuple[Callable[..., Check], Optional[tuple], tuple]] = [
     (check_reduce_engines, (9,), (12,)),
     (check_confluence, (8,), (10,)),
-    (check_counting, (20,), (40,)),
+    (check_counting_identities, (20,), (40,)),
+    (check_count_full_summation, None, (12,)),
     (check_insertion_counts, (2,), (3,)),
+    (check_class_invariance, None, (1,)),
     (check_distribution, ((3, 4, 6, 7),), ((1, 3, 4, 6, 7, 9, 10, 12, 13),)),
-    (check_normalization, (21,), (40,)),
+    (check_pmf_normalization, (21,), (40,)),
     (check_pmf_reference, None, (60,)),
     (check_location_roundtrip, (3, 2), (4, 3)),
+    (check_feasibility, None, (2, 2)),
+    (check_phi_gradient, None, (0,)),
     (check_alpha_gap, None, ((99, 300, 999),)),
 ]
 
 
 def run_selfcheck(deep: bool = False) -> list[Check]:
     """Run one column of SELFCHECKS; a check that raises fails with
-    (its function's name, False, "<ExceptionType>: <message>")."""
+    (its name, False, "<ExceptionType>: <message>")."""
     results = []
     for fn, quick, deep_args in SELFCHECKS:
         args = deep_args if deep else quick
@@ -291,5 +300,6 @@ def run_selfcheck(deep: bool = False) -> list[Check]:
             try:
                 results.append(fn(*args))
             except Exception as exc:
-                results.append((fn.__name__, False, f"{type(exc).__name__}: {exc}"))
+                name = fn.__name__.removeprefix("check_").replace("_", "-")
+                results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -113,7 +113,7 @@ def test_criterion_04_location_map_machinery():
 
 def test_criterion_05_pmf_normalization_to_40():
     started = time.time()
-    _, ok, detail = selfcheck.check_normalization(40)
+    _, ok, detail = selfcheck.check_pmf_normalization(40)
     assert ok, detail
     lengths = [n for n in range(1, 41) if n % 3 != 2]
     ok = _verdict(
@@ -214,7 +214,7 @@ def test_criterion_09_confluence_audit():
 
 def test_criterion_10_identity_suite():
     started = time.time()
-    _, ok, detail = selfcheck.check_counting(40)
+    _, ok, detail = selfcheck.check_counting_identities(40)
     assert ok, detail
     _, ok, detail = selfcheck.check_count_full_summation(12)
     assert ok, detail

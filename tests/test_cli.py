@@ -535,6 +535,28 @@ def test_each_command_loads_only_its_modules():
     assert done.returncode == 0, done.stderr
 
 
+def test_enumeration_and_long_samples_load_no_counting_module():
+    # a fresh interpreter per command: the reference pmf and a sample's exact
+    # pmf need counting and distributions, these commands need neither
+    script = textwrap.dedent("""
+        import json, sys
+        from billiardknots.cli import main
+
+        assert main(json.loads(sys.argv[1])) == 0
+        loaded = {m.split(".")[1] for m in sys.modules
+                  if m.startswith("billiardknots.")}
+        assert loaded == set(json.loads(sys.argv[2])), loaded
+    """)
+    for argv, modules in (
+        (["enumerate", "--n", "4"], ["cli", "words", "oracle"]),
+        (["insertions", "101", "--m", "1"], ["cli", "words", "oracle"]),
+        (["sample", "--n", "300", "--count", "10", "--seed", "1"],
+         ["cli", "words", "sampler"]),
+    ):
+        done = run_python("-c", script, json.dumps(argv), json.dumps(modules))
+        assert done.returncode == 0, (argv, done.stderr)
+
+
 # every guard lowered, so that no fuzzed input runs for long
 FUZZ_GUARDS = {
     "BILLIARDKNOTS_MAX_ENUM_N": "10",

@@ -187,7 +187,7 @@ def test_count_full_summation_form():
 
 def test_weighted_row_sum_identities():
     # both identities, cleared of fractions (factors 2 and 4)
-    _, ok, detail = selfcheck.check_counting(24)
+    _, ok, detail = selfcheck.check_counting_identities(24)
     assert ok, detail
 
 

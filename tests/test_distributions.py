@@ -200,7 +200,7 @@ def test_crossing_pmf_small_values():
 
 
 def test_crossing_pmf_normalizes_exactly():
-    _, ok, detail = selfcheck.check_normalization(27)
+    _, ok, detail = selfcheck.check_pmf_normalization(27)
     assert ok, detail
 
 

@@ -48,23 +48,26 @@ def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
         external_moves(stack, first, last, step)
 
 
-PLANTED = [  # (a check at a small size, module, name, wrong stand-in), named by id
+# (a check at a small size, module, name, wrong stand-in), named by id; the
+# ids keep the earlier names check_counting and check_normalization, so that
+# each test keeps its name
+PLANTED = [
     pytest.param(lambda: sc.check_reduce_engines(3), words, "reduce", lambda w: w,
                  id="check_reduce_engines-reduce"),
     pytest.param(lambda: sc.check_confluence(3), words, "reduce", lambda w: w,
                  id="check_confluence-reduce"),
     pytest.param(lambda: sc.check_confluence(3), oracle, "all_terminal_words",
                  lambda w: {"101", "010"}, id="check_confluence-all_terminal_words"),
-    pytest.param(lambda: sc.check_counting(6), counting, "binomial_lt",
+    pytest.param(lambda: sc.check_counting_identities(6), counting, "binomial_lt",
                  lambda n, m: binomial_lt(n, m) + (m == 3),
                  id="check_counting-binomial_lt"),
-    pytest.param(lambda: sc.check_counting(6), counting, "_binomial_and_below",
+    pytest.param(lambda: sc.check_counting_identities(6), counting, "_binomial_and_below",
                  _bump_binomial_at_3, id="check_counting-binomial_and_below-at_3"),
-    pytest.param(lambda: sc.check_counting(6), counting, "_binomial_and_below",
+    pytest.param(lambda: sc.check_counting_identities(6), counting, "_binomial_and_below",
                  _bump_walk("pair"), id="check_counting-binomial_and_below-pair_walk"),
-    pytest.param(lambda: sc.check_counting(6), counting, "_binomial_and_below",
+    pytest.param(lambda: sc.check_counting_identities(6), counting, "_binomial_and_below",
                  _bump_walk("up"), id="check_counting-binomial_and_below-up_walk"),
-    pytest.param(lambda: sc.check_counting(6), counting, "_binomial_and_below",
+    pytest.param(lambda: sc.check_counting_identities(6), counting, "_binomial_and_below",
                  _bump_walk("down"), id="check_counting-binomial_and_below-down_walk"),
     pytest.param(lambda: sc.check_count_full_summation(4), counting, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 2),
@@ -89,7 +92,7 @@ PLANTED = [  # (a check at a small size, module, name, wrong stand-in), named by
     pytest.param(lambda: sc.check_distribution((3, 4)), words, "symmetry_orbit",
                  _orbit_without_resized_forms,
                  id="check_distribution-words_symmetry_orbit"),
-    pytest.param(lambda: sc.check_normalization(7), distributions, "count_full",
+    pytest.param(lambda: sc.check_pmf_normalization(7), distributions, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_normalization-count_full"),
     pytest.param(lambda: sc.check_pmf_reference(13), distributions, "count_full",
@@ -145,7 +148,7 @@ def test_selfcheck_command_reports_a_check_that_raises(monkeypatch, capsys):
     assert main(["selfcheck"]) == 1  # not 2: the raise is a failed check, not bad input
     lines = capsys.readouterr().out.splitlines()
     assert lines[:4] == passing[:4]  # the checks before it ran and passed
-    assert lines[4] == "FAIL  check_distribution: ValueError: probability above 1"
+    assert lines[4] == "FAIL  distribution: ValueError: probability above 1"
     assert lines[-1] == passing[-1]  # and the checks after it still ran
     assert lines[-1].startswith("PASS  location-roundtrip")
 
@@ -155,7 +158,24 @@ def test_distribution_check_names_lengths_given_as_a_generator():
     assert check == ("distribution", True, "n in [3, 4]")
 
 
-def test_deep_selfcheck_passes_and_audits_the_pmf_reference():
-    results = sc.run_selfcheck(deep=True)
-    assert [name for name, ok, _ in results if not ok] == []
-    assert ("pmf-reference", True, "n up to 60") in results
+@pytest.fixture(scope="module")
+def deep_results():
+    return sc.run_selfcheck(deep=True)
+
+
+def test_deep_selfcheck_passes_and_audits_the_pmf_reference(deep_results):
+    assert [name for name, ok, _ in deep_results if not ok] == []
+    assert ("pmf-reference", True, "n up to 60") in deep_results
+
+
+def test_each_check_reports_its_function_name(deep_results):
+    # run_selfcheck names a check that raises by the same rule
+    names = [fn.__name__.removeprefix("check_").replace("_", "-")
+             for fn, _, _ in sc.SELFCHECKS]
+    assert [name for name, _, _ in deep_results] == names
+
+
+def test_selfcheck_runs_every_check_but_the_sampler_one():
+    checks = {name for name in vars(sc) if name.startswith("check_")}
+    rows = {fn.__name__ for fn, _, _ in sc.SELFCHECKS}
+    assert checks - rows == {"check_sampler_crossings"}
