@@ -204,9 +204,10 @@ def _cmd_sample(args, guards) -> None:
 
     sampler.check_sample(args.n, args.count, args.seed, args.workers)  # before the guard
     # a step of the lockstep walk over the n letter columns has a fixed cost
-    # near that of a thousand words, so a small count is counted as a batch
-    label = f"n * max(count, {sampler._BATCH})"
-    letters = args.n * max(args.count, sampler._BATCH)
+    # near that of a thousand words, so a small count is counted as a batch;
+    # each word costs at least one letter, the empty words at n = 0 included
+    label = f"max(n, 1) * max(count, {sampler._BATCH})"
+    letters = max(args.n, 1) * max(args.count, sampler._BATCH)
     drawing = min(args.workers, args.count)
     if drawing > 1:  # the batch already pays for the first worker
         label += f" + {_SAMPLE_WORKER_LETTERS} * (min(workers, count) - 1)"

@@ -1,16 +1,14 @@
 """Built-in consistency checks wiring the formulas against the brute force.
 
-Each check returns (name, ok, detail): the name is the function's name
-without "check_" and with "-" for "_", and on failure the detail names
-the input that failed.  These functions are the only implementation of
-each audit: the package's tests call them at their own sizes and assert
-on the result.  run_selfcheck runs them from one table, SELFCHECKS: the
-quick set runs in a fraction of a second; --deep repeats the expensive
-audits at larger sizes and adds the count_full summation, class
-invariance, feasibility, phi gradient, the pmf's double-sum reference and
-the alpha gap.  check_sampler_crossings runs only from the tests: it
-needs numpy, and importing numpy alone takes longer than a whole quick
-selfcheck process.
+Each check returns (ok, detail), and on failure the detail names the input
+that failed.  These functions are the only implementation of each audit:
+the package's tests call them at their own sizes and assert on the result.
+run_selfcheck runs them from one table, SELFCHECKS, and names each row by
+its function's name without "check_" and with "-" for "_".  The quick
+column runs in a fraction of a second; the deep column repeats the
+expensive audits at larger sizes and adds the rows whose quick column is
+None.  check_sampler_crossings runs only from the tests: it needs numpy,
+and importing numpy alone takes longer than a whole quick selfcheck process.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Callable, Optional
 
 from . import counting, distributions, insertions, oracle, words
 
-Check = tuple[str, bool, str]
+Check = tuple[bool, str]
 
 
 def check_reduce_engines(max_n: int) -> Check:
@@ -32,8 +30,8 @@ def check_reduce_engines(max_n: int) -> Check:
             slow = oracle.reduce_by_moves(w)
             fast = words.reduce(w)
             if slow != fast:
-                return ("reduce-engines", False, f"{w!r}: {slow!r} != {fast!r}")
-    return ("reduce-engines", True, f"all words up to length {max_n}")
+                return False, f"{w!r}: {slow!r} != {fast!r}"
+    return True, f"all words up to length {max_n}"
 
 
 def check_sampler_crossings(max_n: int) -> Check:
@@ -54,10 +52,9 @@ def check_sampler_crossings(max_n: int) -> Check:
         for row, got in zip(rows, sampler.row_crossings(rows).tolist()):
             w = "".join(map(str, row.tolist()))
             if got != words.crossing_number(w):
-                detail = f"{w!r}: {got} != {words.crossing_number(w)}"
-                return ("sampler-crossings", False, detail)
-    return ("sampler-crossings", True, f"all words up to length {max_n}, "
-            "100 random words of each length up to 60")
+                return False, f"{w!r}: {got} != {words.crossing_number(w)}"
+    return True, (f"all words up to length {max_n}, "
+                  "100 random words of each length up to 60")
 
 
 def check_confluence(max_n: int) -> Check:
@@ -68,10 +65,10 @@ def check_confluence(max_n: int) -> Check:
             terminals = oracle.all_terminal_words(w)
             if len(terminals) > 1:
                 if not all(t in words.UNKNOT_FORMS for t in terminals):
-                    return ("confluence", False, f"{w!r} -> {sorted(terminals)}")
+                    return False, f"{w!r} -> {sorted(terminals)}"
             if words.reduce(w) not in terminals:
-                return ("confluence", False, f"{w!r}: reduce misses {sorted(terminals)}")
-    return ("confluence", True, f"all words up to length {max_n}")
+                return False, f"{w!r}: reduce misses {sorted(terminals)}"
+    return True, f"all words up to length {max_n}"
 
 
 def check_counting_identities(limit: int) -> Check:
@@ -86,19 +83,19 @@ def check_counting_identities(limit: int) -> Check:
         ups = [q for m in range(4, n + 1) for q in (m, 0)]
         for m in (*range(n + 1), *range(n - 1, -1, -1), *ups):
             if counting._binomial_and_below(n, m) != (row[m], sums[m]):
-                return ("counting-identities", False, f"anchored pair at {n=} {m=}")
+                return False, f"anchored pair at {n=} {m=}"
         lhs1 = lhs2 = 0
         for m in range(n + 1):
             if 2 * lhs1 != n * counting.binomial_lt(n, m) - m * counting.binomial(n, m):
-                return ("counting-identities", False, f"first identity at {n=} {m=}")
+                return False, f"first identity at {n=} {m=}"
             rhs2 = n * (n - 1) * counting.binomial_lt(n, m) - m * (
                 2 * m + n - 3
             ) * counting.binomial(n, m)
             if 4 * lhs2 != rhs2:
-                return ("counting-identities", False, f"second identity at {n=} {m=}")
+                return False, f"second identity at {n=} {m=}"
             lhs1 += m * row[m]
             lhs2 += m * (m - 1) * row[m]
-    return ("counting-identities", True, f"n up to {limit}")
+    return True, f"n up to {limit}"
 
 
 def check_count_full_summation(limit: int) -> Check:
@@ -114,8 +111,8 @@ def check_count_full_summation(limit: int) -> Check:
                 )
             got = counting.count_full(m, ell)
             if got != total:
-                return ("count-full-summation", False, f"F({m},{ell}): {got} != {total}")
-    return ("count-full-summation", True, f"m, ell up to {limit}")
+                return False, f"F({m},{ell}): {got} != {total}"
+    return True, f"m, ell up to {limit}"
 
 
 def check_insertion_counts(
@@ -127,12 +124,12 @@ def check_insertion_counts(
             expected = len(oracle.enumerate_insertions(base, m, oracle.INTERNAL_ONLY))
             got = counting.count_internal(len(base), m)
             if expected != got:
-                return ("insertion-counts", False, f"I'({base},{m}): {expected} != {got}")
+                return False, f"I'({base},{m}): {expected} != {got}"
             expected = len(oracle.enumerate_insertions(base, m, oracle.ALL))
             got = counting.count_full(m, len(base))
             if expected != got:
-                return ("insertion-counts", False, f"I({base},{m}): {expected} != {got}")
-    return ("insertion-counts", True, f"m up to {max_m}")
+                return False, f"I({base},{m}): {expected} != {got}"
+    return True, f"m up to {max_m}"
 
 
 def check_distribution(
@@ -147,17 +144,16 @@ def check_distribution(
             try:
                 dist = oracle.classify_terminals(n, terminals, mode)
             except AssertionError as exc:  # knot_class met an unbalanced orbit
-                return ("distribution", False, f"n={n} {mode}: {exc}")
+                return False, f"n={n} {mode}: {exc}"
             for canonical, cnt in dist.counts.items():
                 p = distributions.knot_probability(dist.classes[canonical], n)
                 if p != distributions.ExactProb(cnt, n):  # both out of 2**n words
                     detail = f"n={n} {mode} {canonical!r}: {p} != {cnt}/{dist.total}"
-                    return ("distribution", False, detail)
+                    return False, detail
             for c, cnt in dist.crossing_counts.items():
                 if pmf.counts.get(c) != cnt:
-                    detail = f"n={n} c={c}: {pmf.counts.get(c)} != {cnt} words"
-                    return ("distribution", False, detail)
-    return ("distribution", True, f"n in {sorted(lengths)}")
+                    return False, f"n={n} c={c}: {pmf.counts.get(c)} != {cnt} words"
+    return True, f"n in {sorted(lengths)}"
 
 
 def check_pmf_reference(max_n: int) -> Check:
@@ -169,9 +165,8 @@ def check_pmf_reference(max_n: int) -> Check:
         slow = oracle.crossing_pmf_by_double_sum(n).counts
         for c in sorted(fast.keys() | slow.keys()):
             if fast.get(c) != slow.get(c):
-                detail = f"n={n} c={c}: {fast.get(c)} != {slow.get(c)} words"
-                return ("pmf-reference", False, detail)
-    return ("pmf-reference", True, f"n up to {max_n}")
+                return False, f"n={n} c={c}: {fast.get(c)} != {slow.get(c)} words"
+    return True, f"n up to {max_n}"
 
 
 def check_pmf_normalization(max_n: int) -> Check:
@@ -180,8 +175,8 @@ def check_pmf_normalization(max_n: int) -> Check:
         if n % 3 == 2:
             continue
         if distributions.crossing_pmf(n).total() != 1:
-            return ("pmf-normalization", False, f"n={n}")
-    return ("pmf-normalization", True, f"n up to {max_n}")
+            return False, f"n={n}"
+    return True, f"n up to {max_n}"
 
 
 def check_class_invariance(
@@ -195,13 +190,10 @@ def check_class_invariance(
         for m in range(max_m + 1):
             for wp in oracle.enumerate_insertions(base, m, oracle.ALL):
                 if words.knot_class(wp) != cls:
-                    detail = f"{base!r} -> {wp!r}: class changed"
-                elif len(words.reduce(wp)) % 3 != len(base) % 3:
-                    detail = f"{base!r} -> {wp!r}: reduced length mod 3 changed"
-                else:
-                    continue
-                return ("class-invariance", False, detail)
-    return ("class-invariance", True, f"bases {', '.join(bases)}, m <= {max_m}")
+                    return False, f"{base!r} -> {wp!r}: class changed"
+                if len(words.reduce(wp)) % 3 != len(base) % 3:
+                    return False, f"{base!r} -> {wp!r}: reduced length mod 3 changed"
+    return True, f"bases {', '.join(bases)}, m <= {max_m}"
 
 
 def check_location_roundtrip(max_len: int, max_m: int) -> Check:
@@ -214,15 +206,15 @@ def check_location_roundtrip(max_len: int, max_m: int) -> Check:
                 for wp in oracle.enumerate_insertions(w, m, oracle.INTERNAL_ONLY):
                     loc = insertions.location_map(w, wp)
                     if loc is None:
-                        return ("location-roundtrip", False, f"{w!r} -> {wp!r}: no map")
+                        return False, f"{w!r} -> {wp!r}: no map"
                     other = seen.setdefault(loc.locations, wp)
                     if other != wp:
                         detail = f"{w!r} -> {wp!r} and {other!r} share {loc.locations}"
-                        return ("location-roundtrip", False, detail)
+                        return False, detail
                     trace = insertions.reconstruct(w, m, loc)
                     if trace.word != wp:
-                        return ("location-roundtrip", False, f"{w!r} -> {wp!r} via {loc}")
-    return ("location-roundtrip", True, f"len <= {max_len}, m <= {max_m}")
+                        return False, f"{w!r} -> {wp!r} via {loc}"
+    return True, f"len <= {max_len}, m <= {max_m}"
 
 
 def check_feasibility(max_len: int, max_m: int) -> Check:
@@ -239,8 +231,8 @@ def check_feasibility(max_len: int, max_m: int) -> Check:
                     for w in oracle.all_words(n):
                         if insertions.reconstruct(w, m, locs).success != feasible:
                             detail = f"{w!r}, m={m}, {locs}: is_feasible says {feasible}"
-                            return ("feasibility", False, detail)
-    return ("feasibility", True, f"len <= {max_len}, m <= {max_m}")
+                            return False, detail
+    return True, f"len <= {max_len}, m <= {max_m}"
 
 
 def check_phi_gradient(seed: int) -> Check:
@@ -258,10 +250,9 @@ def check_phi_gradient(seed: int) -> Check:
         fx = (phi(x + step, y) - phi(x - step, y)) / (2 * step)
         fy = (phi(x, y + step) - phi(x, y - step)) / (2 * step)
         if abs(gx - fx) > tol or abs(gy - fy) > tol:
-            detail = f"at ({x}, {y}): ({gx}, {gy}) vs differences ({fx}, {fy})"
-            return ("phi-gradient", False, detail)
+            return False, f"at ({x}, {y}): ({gx}, {gy}) vs differences ({fx}, {fy})"
         checked += 1
-    return ("phi-gradient", True, f"100 points from seed {seed}")
+    return True, f"100 points from seed {seed}"
 
 
 def check_alpha_gap(lengths) -> Check:
@@ -269,7 +260,7 @@ def check_alpha_gap(lengths) -> Check:
     trefoil = words.knot_class("101")
     gaps = [distributions.alpha_rate(trefoil, n).gap for n in lengths]
     ok = all(a > b for a, b in zip(gaps, gaps[1:]))
-    return ("alpha-gap", ok, " > ".join(f"{g:.4f}" for g in gaps))
+    return ok, " > ".join(f"{g:.4f}" for g in gaps)
 
 
 #: (check, quick arguments or None, deep arguments), in the order they run
@@ -290,16 +281,16 @@ SELFCHECKS: list[tuple[Callable[..., Check], Optional[tuple], tuple]] = [
 ]
 
 
-def run_selfcheck(deep: bool = False) -> list[Check]:
-    """Run one column of SELFCHECKS; a check that raises fails with
-    (its name, False, "<ExceptionType>: <message>")."""
+def run_selfcheck(deep: bool = False) -> list[tuple[str, bool, str]]:
+    """Run one column of SELFCHECKS as (name, ok, detail) rows; a check that
+    raises fails with detail "<ExceptionType>: <message>"."""
     results = []
     for fn, quick, deep_args in SELFCHECKS:
         args = deep_args if deep else quick
         if args is not None:
+            name = fn.__name__.removeprefix("check_").replace("_", "-")
             try:
-                results.append(fn(*args))
+                results.append((name, *fn(*args)))
             except Exception as exc:
-                name = fn.__name__.removeprefix("check_").replace("_", "-")
                 results.append((name, False, f"{type(exc).__name__}: {exc}"))
     return results

@@ -44,7 +44,7 @@ def _verdict(number: int, ok: bool, detail: str, started: float) -> bool:
 
 def test_criterion_01_knot_probability_equals_enumeration():
     started = time.time()
-    _, ok, detail = selfcheck.check_distribution(ORACLE_LENGTHS)
+    ok, detail = selfcheck.check_distribution(ORACLE_LENGTHS)
     assert ok, detail
     ok = _verdict(
         1, ok, f"knot probabilities exact for n in {ORACLE_LENGTHS}, both "
@@ -55,7 +55,7 @@ def test_criterion_01_knot_probability_equals_enumeration():
 
 def test_criterion_02_crossing_pmf_equals_enumeration():
     started = time.time()
-    _, ok, detail = selfcheck.check_distribution(ORACLE_LENGTHS, (MIRROR_IDENTIFIED,))
+    ok, detail = selfcheck.check_distribution(ORACLE_LENGTHS, (MIRROR_IDENTIFIED,))
     assert ok, detail
     spot3 = crossing_pmf(3).masses[3].fraction == Fraction(1, 4)
     spot6 = crossing_pmf(6).masses[3].fraction == Fraction(18, 64)
@@ -75,7 +75,7 @@ def test_criterion_03_insertion_counts_match_enumeration():
     )
     assert len(enumerate_insertions("101", 2, INTERNAL_ONLY)) == 26
     assert count_full(1, 3) == 9
-    _, ok, detail = selfcheck.check_insertion_counts(3, reduced)
+    ok, detail = selfcheck.check_insertion_counts(3, reduced)
     assert ok, detail
     ok = _verdict(
         3, ok, f"closed counts equal enumeration for {len(reduced)} reduced "
@@ -98,10 +98,10 @@ def test_criterion_04_location_map_machinery():
     assert bad.word is None and bad.steps[-1].stack == "1"
 
     # injectivity and round trip over the whole insertion set
-    _, ok, detail = selfcheck.check_location_roundtrip(4, 3)
+    ok, detail = selfcheck.check_location_roundtrip(4, 3)
     assert ok, detail
     # feasibility iff reconstruction success, over all small sets
-    _, ok, detail = selfcheck.check_feasibility(4, 3)
+    ok, detail = selfcheck.check_feasibility(4, 3)
     assert ok, detail
     ok = _verdict(
         4, ok, "location map injective, round trip exact, feasibility == "
@@ -113,7 +113,7 @@ def test_criterion_04_location_map_machinery():
 
 def test_criterion_05_pmf_normalization_to_40():
     started = time.time()
-    _, ok, detail = selfcheck.check_pmf_normalization(40)
+    ok, detail = selfcheck.check_pmf_normalization(40)
     assert ok, detail
     lengths = [n for n in range(1, 41) if n % 3 != 2]
     ok = _verdict(
@@ -125,7 +125,7 @@ def test_criterion_05_pmf_normalization_to_40():
 
 def test_criterion_06_alpha_convergence():
     started = time.time()
-    _, decreasing, detail = selfcheck.check_alpha_gap((99, 300, 999, 3000))
+    decreasing, detail = selfcheck.check_alpha_gap((99, 300, 999, 3000))
     trefoil = knot_class("101")
     gaps = {n: alpha_rate(trefoil, n).gap for n in (999, 3000)}
     ok = _verdict(
@@ -203,7 +203,7 @@ def test_criterion_09_confluence_audit():
     started = time.time()
     # a word with several terminals may only leave unknot forms, and
     # words.reduce reaches one of every word's terminals
-    _, ok, detail = selfcheck.check_confluence(10)
+    ok, detail = selfcheck.check_confluence(10)
     assert ok, detail
     ok = _verdict(
         9, ok, f"all reduction orders agree on {(1 << 11) - 1} words (n <= 10); "
@@ -214,16 +214,16 @@ def test_criterion_09_confluence_audit():
 
 def test_criterion_10_identity_suite():
     started = time.time()
-    _, ok, detail = selfcheck.check_counting_identities(40)
+    ok, detail = selfcheck.check_counting_identities(40)
     assert ok, detail
-    _, ok, detail = selfcheck.check_count_full_summation(12)
+    ok, detail = selfcheck.check_count_full_summation(12)
     assert ok, detail
 
     assert abs(phi(X0, Y0)) <= 1e-9
     gx0, gy0 = phi_gradient(X0, Y0)
     assert abs(gx0) <= 1e-9 and abs(gy0) <= 1e-9
 
-    _, ok, detail = selfcheck.check_phi_gradient(12345)
+    ok, detail = selfcheck.check_phi_gradient(12345)
     assert ok, detail
     ok = _verdict(
         10, ok, "row-sum identities (n<=40), summation form of the full count "

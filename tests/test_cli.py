@@ -178,7 +178,8 @@ def test_sample_guard(capsys, monkeypatch):
                          "--seed", "1")
     assert code == 3
     assert out == "" and (
-        "n * max(count, 4096)=50000100 exceeds the sample guard 50000000" in err)
+        "max(n, 1) * max(count, 4096)=50000100 "
+        "exceeds the sample guard 50000000" in err)
     # a few words of a long length count as one full batch
     code, _, err = run(capsys, "sample", "--n", "12208", "--count", "1", "--seed", "1")
     assert code == 3 and "=50003968 exceeds" in err
@@ -203,8 +204,8 @@ def test_sample_guard_charges_workers(capsys, monkeypatch):
     monkeypatch.setattr(sampler, "sample_pmf", refuse)
     code, out, err = run(capsys, *argv)
     assert code == 3 and out == "" and (
-        "n * max(count, 4096) + 1500 * (min(workers, count) - 1)=15029998500 "
-        "exceeds the sample guard 50000000" in err)
+        "max(n, 1) * max(count, 4096) + 1500 * (min(workers, count) - 1)"
+        "=15029998500 exceeds the sample guard 50000000" in err)
     monkeypatch.undo()
     # only workers that draw are charged, and each after the first as 1500 letters
     argv = ("sample", "--n", "3", "--count", "4000", "--workers", "4", "--seed", "1")
@@ -220,6 +221,19 @@ def test_sample_guard_charges_workers(capsys, monkeypatch):
     code, out, _ = run(capsys, "sample", "--n", "3", "--count", "4",
                        "--workers", "1000", "--seed", "1")
     assert code == 0 and out.startswith("n=3 count=4 seed=1 workers=1000")
+
+
+def test_sample_guard_charges_empty_words(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_pmf ran past the guard")
+
+    # each word of length 0 is charged as one letter, so the count is bounded
+    monkeypatch.setattr(sampler, "sample_pmf", refuse)
+    code, out, err = run(capsys, "sample", "--n", "0", "--count", "1000000000000",
+                         "--seed", "1")
+    assert code == 3 and out == "" and (
+        "max(n, 1) * max(count, 4096)=1000000000000 "
+        "exceeds the sample guard 50000000" in err)
 
 
 def test_render_guard(capsys, monkeypatch, tmp_path):

@@ -175,19 +175,19 @@ def test_count_full_examples():
 
 def test_count_full_matches_enumeration_small():
     bases = (*reduced_words_of_length(3), *reduced_words_of_length(4))
-    _, ok, detail = selfcheck.check_insertion_counts(2, bases)
+    ok, detail = selfcheck.check_insertion_counts(2, bases)
     assert ok, detail
 
 
 def test_count_full_summation_form():
     # the pre-simplification form: internal count plus 4e staged external variants
-    _, ok, detail = selfcheck.check_count_full_summation(8)
+    ok, detail = selfcheck.check_count_full_summation(8)
     assert ok, detail
 
 
 def test_weighted_row_sum_identities():
     # both identities, cleared of fractions (factors 2 and 4)
-    _, ok, detail = selfcheck.check_counting_identities(24)
+    ok, detail = selfcheck.check_counting_identities(24)
     assert ok, detail
 
 

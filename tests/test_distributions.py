@@ -200,12 +200,12 @@ def test_crossing_pmf_small_values():
 
 
 def test_crossing_pmf_normalizes_exactly():
-    _, ok, detail = selfcheck.check_pmf_normalization(27)
+    ok, detail = selfcheck.check_pmf_normalization(27)
     assert ok, detail
 
 
 def test_crossing_pmf_matches_the_reference_double_sum():
-    _, ok, detail = selfcheck.check_pmf_reference(60)
+    ok, detail = selfcheck.check_pmf_reference(60)
     assert ok, detail
 
 
@@ -364,7 +364,7 @@ def test_phi_domain_checks():
 
 
 def test_phi_gradient_matches_finite_differences():
-    _, ok, detail = selfcheck.check_phi_gradient(20260809)
+    ok, detail = selfcheck.check_phi_gradient(20260809)
     assert ok, detail
 
 

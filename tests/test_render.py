@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from billiardknots.render import billiard_geometry, render_svg
+from billiardknots.render import _geometry_and_strands, billiard_geometry, render_svg
 
 VALID_LENGTHS = [n for n in range(1, 51) if n % 3 != 2]
 
@@ -60,6 +60,20 @@ def test_figure_eight_geometry():
     geom = billiard_geometry(4)
     assert geom.width == 5
     assert geom.crossings == ((1, 1), (2, 2), (3, 1), (4, 2))
+
+
+def test_strands_are_the_two_segments_through_each_crossing():
+    assert _geometry_and_strands(3)[1] == {
+        (1, 1): [0, 3], (2, 2): [0, 5], (3, 1): [2, 5]}
+    assert _geometry_and_strands(4)[1] == {
+        (1, 1): [0, 5], (2, 2): [0, 3], (3, 1): [3, 6], (4, 2): [1, 6]}
+    for n in (n for n in range(1, 201) if n % 3 != 2):
+        geom, through = _geometry_and_strands(n)
+        for point, strands in through.items():
+            first, second = strands  # in the order the trajectory passes them
+            assert first < second, (n, point)
+            segments = geom.segments[first], geom.segments[second]
+            assert _intersection(*segments) == point, (n, point)
 
 
 def test_single_crossing_geometry():

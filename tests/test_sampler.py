@@ -14,7 +14,7 @@ def test_tv_distance_basics():
 
 
 def test_batch_reduction_matches_words_crossing_number():
-    name, ok, detail = check_sampler_crossings(14)
+    ok, detail = check_sampler_crossings(14)
     assert ok, detail
 
 

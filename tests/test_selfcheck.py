@@ -48,88 +48,95 @@ def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
         external_moves(stack, first, last, step)
 
 
-# (a check at a small size, module, name, wrong stand-in), named by id; the
-# ids keep the earlier names check_counting and check_normalization, so that
-# each test keeps its name
+# (a check, its arguments at a small size, module, name, wrong stand-in),
+# named by id; the ids keep the earlier names check_counting and
+# check_normalization, so that each test keeps its name
 PLANTED = [
-    pytest.param(lambda: sc.check_reduce_engines(3), words, "reduce", lambda w: w,
+    pytest.param(sc.check_reduce_engines, (3,), words, "reduce", lambda w: w,
                  id="check_reduce_engines-reduce"),
-    pytest.param(lambda: sc.check_confluence(3), words, "reduce", lambda w: w,
+    pytest.param(sc.check_confluence, (3,), words, "reduce", lambda w: w,
                  id="check_confluence-reduce"),
-    pytest.param(lambda: sc.check_confluence(3), oracle, "all_terminal_words",
+    pytest.param(sc.check_confluence, (3,), oracle, "all_terminal_words",
                  lambda w: {"101", "010"}, id="check_confluence-all_terminal_words"),
-    pytest.param(lambda: sc.check_counting_identities(6), counting, "binomial_lt",
+    pytest.param(sc.check_counting_identities, (6,), counting, "binomial_lt",
                  lambda n, m: binomial_lt(n, m) + (m == 3),
                  id="check_counting-binomial_lt"),
-    pytest.param(lambda: sc.check_counting_identities(6), counting, "_binomial_and_below",
+    pytest.param(sc.check_counting_identities, (6,), counting, "_binomial_and_below",
                  _bump_binomial_at_3, id="check_counting-binomial_and_below-at_3"),
-    pytest.param(lambda: sc.check_counting_identities(6), counting, "_binomial_and_below",
+    pytest.param(sc.check_counting_identities, (6,), counting, "_binomial_and_below",
                  _bump_walk("pair"), id="check_counting-binomial_and_below-pair_walk"),
-    pytest.param(lambda: sc.check_counting_identities(6), counting, "_binomial_and_below",
+    pytest.param(sc.check_counting_identities, (6,), counting, "_binomial_and_below",
                  _bump_walk("up"), id="check_counting-binomial_and_below-up_walk"),
-    pytest.param(lambda: sc.check_counting_identities(6), counting, "_binomial_and_below",
+    pytest.param(sc.check_counting_identities, (6,), counting, "_binomial_and_below",
                  _bump_walk("down"), id="check_counting-binomial_and_below-down_walk"),
-    pytest.param(lambda: sc.check_count_full_summation(4), counting, "count_full",
+    pytest.param(sc.check_count_full_summation, (4,), counting, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 2),
                  id="check_count_full_summation-count_full"),
-    pytest.param(lambda: sc.check_insertion_counts(2), counting, "count_internal",
+    pytest.param(sc.check_insertion_counts, (2,), counting, "count_internal",
                  lambda ell, m: count_internal(ell, m) + (m == 2),
                  id="check_insertion_counts-count_internal"),
-    pytest.param(lambda: sc.check_insertion_counts(2), counting, "count_full",
+    pytest.param(sc.check_insertion_counts, (2,), counting, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_insertion_counts-count_full"),
-    pytest.param(lambda: sc.check_distribution((3, 4)), distributions, "count_full",
+    pytest.param(sc.check_distribution, ((3, 4),), distributions, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_distribution-count_full"),
-    pytest.param(lambda: sc.check_distribution((3,), (words.CHIRAL,)), distributions,
+    pytest.param(sc.check_distribution, ((3,), (words.CHIRAL,)), distributions,
                  "knot_probability", lambda knot, n: distributions.ExactProb(0, n),
                  id="check_distribution-knot_probability"),
     # the oracle shares each class over the orbit its lookup names: "101" and
     # "010" are mirror images, so different chiral classes
-    pytest.param(lambda: sc.check_distribution((3,), (words.CHIRAL,)), oracle,
+    pytest.param(sc.check_distribution, ((3,), (words.CHIRAL,)), oracle,
                  "symmetry_orbit", lambda w, mode: symmetry_orbit(w, mode) | {"101"},
                  id="check_distribution-oracle_symmetry_orbit"),
-    pytest.param(lambda: sc.check_distribution((3, 4)), words, "symmetry_orbit",
+    pytest.param(sc.check_distribution, ((3, 4),), words, "symmetry_orbit",
                  _orbit_without_resized_forms,
                  id="check_distribution-words_symmetry_orbit"),
-    pytest.param(lambda: sc.check_pmf_normalization(7), distributions, "count_full",
+    pytest.param(sc.check_pmf_normalization, (7,), distributions, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_normalization-count_full"),
-    pytest.param(lambda: sc.check_pmf_reference(13), distributions, "count_full",
+    pytest.param(sc.check_pmf_reference, (13,), distributions, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_pmf_reference-count_full"),
-    pytest.param(lambda: sc.check_sampler_crossings(6), sampler, "_external_moves",
+    pytest.param(sc.check_sampler_crossings, (6,), sampler, "_external_moves",
                  _prefix_moves_only, id="check_sampler_crossings-external_moves"),
-    pytest.param(lambda: sc.check_class_invariance(2), words, "knot_class",
+    pytest.param(sc.check_class_invariance, (2,), words, "knot_class",
                  lambda w: knot_class(w if len(w) < 9 else w[3:]),
                  id="check_class_invariance-knot_class"),
-    pytest.param(lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
+    pytest.param(sc.check_location_roundtrip, (2, 1), insertions, "location_map",
                  lambda w, wp: None, id="check_location_roundtrip-location_map_none"),
-    pytest.param(lambda: sc.check_location_roundtrip(2, 1), insertions, "location_map",
+    pytest.param(sc.check_location_roundtrip, (2, 1), insertions, "location_map",
                  lambda w, wp: insertions.LocationSet((), (len(wp) - len(w)) // 3),
                  id="check_location_roundtrip-location_map_empty"),
-    pytest.param(lambda: sc.check_location_roundtrip(2, 1), insertions, "reconstruct",
+    pytest.param(sc.check_location_roundtrip, (2, 1), insertions, "reconstruct",
                  lambda w, m, locs: SimpleNamespace(word=None),
                  id="check_location_roundtrip-reconstruct"),
-    pytest.param(lambda: sc.check_feasibility(2, 2), insertions, "is_feasible",
+    pytest.param(sc.check_feasibility, (2, 2), insertions, "is_feasible",
                  lambda size, locs: True, id="check_feasibility-is_feasible"),
-    pytest.param(lambda: sc.check_phi_gradient(1), distributions, "phi_gradient",
+    pytest.param(sc.check_phi_gradient, (1,), distributions, "phi_gradient",
                  lambda x, y: (0.0, 0.0), id="check_phi_gradient-phi_gradient"),
-    pytest.param(lambda: sc.check_alpha_gap((99, 300, 999)), distributions, "alpha_rate",
+    pytest.param(sc.check_alpha_gap, ((99, 300, 999),), distributions, "alpha_rate",
                  lambda knot, n: SimpleNamespace(gap=n / 1000),
                  id="check_alpha_gap-alpha_rate"),
 ]
 
 
-@pytest.mark.parametrize("run,module,name,wrong", PLANTED)
-def test_shared_check_catches_a_planted_fault(run, module, name, wrong, monkeypatch):
+@pytest.mark.parametrize("check,args,module,name,wrong", PLANTED)
+def test_shared_check_catches_a_planted_fault(check, args, module, name, wrong,
+                                              monkeypatch):
     monkeypatch.setattr(counting, "_anchor", (0, 0, 1, 0))  # no wrong pair outlives it
-    _, ok, passed = run()
+    ok, passed = check(*args)
     assert ok, passed
     monkeypatch.setattr(module, name, wrong)
-    _, ok, detail = run()
+    ok, detail = check(*args)
     assert not ok
     assert detail and detail != passed
+
+
+def test_every_check_has_a_planted_fault():
+    planted = {param.values[0].__name__ for param in PLANTED}
+    checks = {fn.__name__ for fn, _, _ in sc.SELFCHECKS} | {"check_sampler_crossings"}
+    assert checks - planted == set()
 
 
 def test_selfcheck_command_fails_on_a_planted_fault(monkeypatch, capsys):
@@ -155,7 +162,7 @@ def test_selfcheck_command_reports_a_check_that_raises(monkeypatch, capsys):
 
 def test_distribution_check_names_lengths_given_as_a_generator():
     check = sc.check_distribution(n for n in (3, 4))
-    assert check == ("distribution", True, "n in [3, 4]")
+    assert check == (True, "n in [3, 4]")
 
 
 @pytest.fixture(scope="module")
