@@ -1,19 +1,21 @@
 """Exact insertion counting: binomials, ballot counts, and the full formula.
 
-Everything here is integer arithmetic; Python ints are arbitrary precision,
-so no overflow regime exists.  Counts serialize as decimal strings at the
-output boundary.
+Everything here is integer arithmetic on arbitrary-precision Python ints; each
+count argument passes words.check_count, so no float reaches a count or the
+binomial anchor.  Counts serialize as decimal strings at the output boundary.
 """
 
 from __future__ import annotations
 
+import operator
 from math import comb
+
+from .words import check_count
 
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention that it is 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n, k = check_count("n", n), operator.index(k)
     if k < 0 or k > n:
         return 0
     return comb(n, k)
@@ -25,8 +27,7 @@ def binomial_lt(n: int, m: int) -> int:
     Read from _binomial_and_below, so it walks from the same anchor as
     count_full and count_internal, two terms per step on a long walk.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n, m = check_count("n", n), operator.index(m)
     if m <= 0:
         return 0
     return _binomial_and_below(n, m)[1]
@@ -89,8 +90,7 @@ def feasible_count(size: int, s: int) -> int:
     """
     if size < 1:
         raise ValueError("size must be positive")
-    if s < 0:
-        raise ValueError("s must be nonnegative")
+    s = check_count("s", s)
     value = binomial(size, s) - 2 * binomial(size, s - 1)
     return value if value > 0 else 0
 
@@ -102,8 +102,7 @@ def count_internal(ell: int, m: int) -> int:
     not depend on the base word itself.  C(n, m) and the partial sum below
     it, n = 3*m + ell, are walked from the anchor (_binomial_and_below).
     """
-    if ell < 0 or m < 0:
-        raise ValueError("ell and m must be nonnegative")
+    ell, m = check_count("ell", ell), check_count("m", m)
     binom, below = _binomial_and_below(3 * m + ell, m)
     return binom - below
 
@@ -120,8 +119,7 @@ def count_full(m: int, ell: int) -> int:
     share one partial row pass, and a whole row asked in order of m
     steps once per entry.
     """
-    if ell < 0 or m < 0:
-        raise ValueError("ell and m must be nonnegative")
+    m, ell = check_count("m", m), check_count("ell", ell)
     binom, below = _binomial_and_below(3 * m + ell, m)
     a = m * m + (ell + 5) * m + 2
     b = m * m + (2 * ell + 9) * m + (ell * ell + 7 * ell + 2)

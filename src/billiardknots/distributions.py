@@ -13,7 +13,7 @@ import operator
 from typing import TYPE_CHECKING, NamedTuple
 
 from .counting import count_full
-from .words import UNKNOT_CLASS, KnotClass, check_length
+from .words import UNKNOT_CLASS, KnotClass, check_count, check_length
 
 if TYPE_CHECKING:  # fractions loads only for the exact-fraction views
     from fractions import Fraction
@@ -42,10 +42,8 @@ class ExactProb(_ExactProbFields):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, numerator: int, exponent: int):
-        # operator.index raises TypeError on a float, which would print as 1.5/4
-        numerator, exponent = operator.index(numerator), operator.index(exponent)
-        if numerator < 0 or exponent < 0:
-            raise ValueError("numerator and exponent must be nonnegative")
+        numerator = check_count("numerator", numerator)
+        exponent = check_count("exponent", exponent)
         if numerator > (1 << exponent):
             raise ValueError("probability above 1")
         return super().__new__(cls, numerator, exponent)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple, Optional
 
-from .words import Word, check_word
+from .words import Word, check_count, check_word
 
 
 class _LocationSetFields(NamedTuple):
@@ -35,9 +35,6 @@ class LocationSet(_LocationSetFields):
         if capacity < 0 or len(locs) > capacity:
             raise ValueError(f"{len(locs)} locations exceed capacity {capacity}")
         return super().__new__(cls, locs, capacity)
-
-    def to_json(self) -> list[int]:
-        return list(self.locations)
 
 
 def _location_tuple(locations, size: int) -> tuple[int, ...]:
@@ -103,8 +100,7 @@ def reconstruct(w: Word, m: int, locations) -> ReconstructionTrace:
     appended at the end, which carry no location of their own.
     """
     check_word(w)
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = check_count("m", m)
     size = 3 * m + len(w)
     locs = _location_tuple(locations, size)
     if len(locs) > m:

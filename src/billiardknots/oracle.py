@@ -18,6 +18,7 @@ from .words import (
     ResourceGuardError,  # re-exported: callers catch the guards from here
     Word,
     available_moves,
+    check_count,
     check_guard,
     check_length,
     check_word,
@@ -165,8 +166,7 @@ def enumerate_insertions(
     check_word(w)
     if scope not in (INTERNAL_ONLY, ALL):
         raise ValueError(f"unknown scope {scope!r}")
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = check_count("m", m)
     check_guard("len(word)", len(w), max_len, "insertions")
     check_guard("m", m, max_insertions, "insertions")
     level = {w}

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .words import check_length
+from .words import check_count, check_length
 
 if TYPE_CHECKING:  # distributions loads only where a caller builds the exact pmf
     from .distributions import CrossingPmf
@@ -150,10 +150,8 @@ def _tally(histogram: Counter, draws: list, block_rows: int) -> None:
 def check_sample(n: int, count: int, seed: int, workers: int) -> tuple[int, int, int]:
     """Validate sample_pmf's arguments; return count, seed and workers as ints."""
     check_length(n)
-    # operator.index raises TypeError on a float, which numpy would truncate
-    count, seed, workers = map(operator.index, (count, seed, workers))
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    count = check_count("count", count)
+    seed, workers = operator.index(seed), operator.index(workers)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
     if workers < 1:

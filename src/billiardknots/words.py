@@ -51,8 +51,17 @@ def check_guard(label: str, value: int, limit: int, guard: str) -> None:
         raise ResourceGuardError(f"{label}={value} exceeds the {guard} guard {limit}")
 
 
+def check_count(label: str, value: int) -> int:
+    """value as an int: a float raises TypeError, a negative ValueError."""
+    value = operator.index(value)  # a float would turn exact counts into floats
+    if value < 0:
+        raise ValueError(f"{label} must be nonnegative")
+    return value
+
+
 def check_length(n: int) -> int:
     """Reject n < 0 and n == 2 mod 3: a 3 x (n+1) table then makes no knot."""
+    n = operator.index(n)  # a float raises TypeError, as in check_count
     if n < 0 or n % 3 == 2:
         raise ValueError(f"invalid length {n}: need n >= 0 with n = 0 or 1 mod 3")
     return n

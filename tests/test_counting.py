@@ -16,9 +16,10 @@ from billiardknots.counting import (
     count_internal,
     feasible_count,
 )
+from billiardknots.distributions import ExactProb, knot_probability
 from billiardknots.insertions import is_feasible
 from billiardknots.oracle import ALL, INTERNAL_ONLY, all_words, enumerate_insertions
-from billiardknots.words import REDUCED, is_reduced
+from billiardknots.words import REDUCED, UNKNOT_CLASS, check_length, is_reduced
 
 
 def brute_feasible_count(size, s):
@@ -200,9 +201,25 @@ def test_counts_nondecreasing_in_m():
 
 
 def test_counts_reject_negative_arguments():
-    with pytest.raises(ValueError):
-        count_internal(-1, 0)
-    with pytest.raises(ValueError):
-        count_full(0, -1)
-    with pytest.raises(ValueError):
-        feasible_count(5, -1)
+    # a float raises TypeError before any walk: it once turned the counts, and
+    # the shared anchor that later exact queries start from, into floats
+    for fn, args, error, message in [
+        (count_internal, (-1, 0), ValueError, "ell must be nonnegative"),
+        (count_internal, (0, -1), ValueError, "m must be nonnegative"),
+        (count_full, (0, -1), ValueError, "ell must be nonnegative"),
+        (feasible_count, (5, -1), ValueError, "s must be nonnegative"),
+        (feasible_count, (0, 0), ValueError, "size must be positive"),
+        (binomial_lt, (-1, 1), ValueError, "n must be nonnegative"),
+        (binomial, (5, 9.5), TypeError, "float"),
+        (check_length, (1.5,), TypeError, "float"),
+        (count_full, (1.0, 3), TypeError, "float"),
+        (binomial_lt, (100.0, 30), TypeError, "float"),
+        (knot_probability, (UNKNOT_CLASS, 3.0), TypeError, "float"),
+    ]:
+        anchor = counting._anchor
+        with pytest.raises(error, match=message):
+            fn(*args)
+        assert counting._anchor == anchor
+    assert type(count_full(2, 0)) is int and count_full(2, 0) == 36
+    assert binomial_lt(100, 31) == sum(comb(100, j) for j in range(31))
+    assert knot_probability(UNKNOT_CLASS, 3) == ExactProb(6, 3)

@@ -17,6 +17,7 @@ binomial_lt, count_full = counting.binomial_lt, counting.count_full
 binomial_and_below = counting._binomial_and_below
 count_internal = counting.count_internal
 knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
+crossing_pmf = distributions.crossing_pmf
 external_moves = sampler._external_moves
 
 
@@ -36,6 +37,13 @@ def _bump_walk(kind):
         binom, below = binomial_and_below(n, m)
         return binom + (walk == kind), below
     return wrong
+
+
+def _move_a_word_from_3_to_4(n):  # the total, and so the unknot, stays right
+    counts = dict(crossing_pmf(n).counts)
+    counts[3] -= 1
+    counts[4] += 1
+    return distributions.CrossingPmf(n, counts)
 
 
 def _orbit_without_resized_forms(w, mode):  # only the terminal's own length
@@ -92,6 +100,9 @@ PLANTED = [
     pytest.param(sc.check_distribution, ((3, 4),), words, "symmetry_orbit",
                  _orbit_without_resized_forms,
                  id="check_distribution-words_symmetry_orbit"),
+    # knot_probability is right, so only the per-crossing-number line can see it
+    pytest.param(sc.check_distribution, ((4,),), distributions, "crossing_pmf",
+                 _move_a_word_from_3_to_4, id="check_distribution-crossing_pmf"),
     pytest.param(sc.check_pmf_normalization, (7,), distributions, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_normalization-count_full"),

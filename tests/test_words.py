@@ -312,6 +312,8 @@ def test_knot_class_rejects_non_knot_words():
         knot_class("01")
     with pytest.raises(ValueError):
         knot_class("01010")
+    with pytest.raises(ValueError, match="unknown chirality mode 'mirror'"):
+        knot_class("101", "mirror")
 
 
 def test_class_invariant_under_symmetries_and_moves():
