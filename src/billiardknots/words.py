@@ -61,7 +61,7 @@ def check_count(label: str, value: int) -> int:
 
 def check_length(n: int) -> int:
     """Reject n < 0 and n == 2 mod 3: a 3 x (n+1) table then makes no knot."""
-    n = operator.index(n)  # a float raises TypeError, as in check_count
+    n = operator.index(n)
     if n < 0 or n % 3 == 2:
         raise ValueError(f"invalid length {n}: need n >= 0 with n = 0 or 1 mod 3")
     return n

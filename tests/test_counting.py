@@ -201,8 +201,6 @@ def test_counts_nondecreasing_in_m():
 
 
 def test_counts_reject_negative_arguments():
-    # a float raises TypeError before any walk: it once turned the counts, and
-    # the shared anchor that later exact queries start from, into floats
     for fn, args, error, message in [
         (count_internal, (-1, 0), ValueError, "ell must be nonnegative"),
         (count_internal, (0, -1), ValueError, "m must be nonnegative"),
