@@ -5,6 +5,10 @@ of the slope-one billiard trajectory in a 3 x (n+1) table, read left to
 right.  Deleting certain letter triples does not change the knot, which
 gives a rewriting system whose terminal words classify two-bridge knots.
 
+reduce() is the one reduction engine.  Its terminals have runs of at most
+two letters, so the resize, symmetry orbit and crossing number of a terminal
+are read from its run tokens: one character per run, "a"/"b" for "00"/"11".
+
 All functions are pure; words are plain ASCII strings over '0'/'1' and the
 empty word is "".
 """
@@ -39,6 +43,8 @@ SUFFIX_TRIPLES = ("011", "100")
 UNKNOT_FORMS = ("", "0", "1", "00", "11")
 
 _COMPLEMENT_TABLE = str.maketrans("01", "10")
+# run tokens to the runs of the resized word: lengths 1 and 2 swap
+_RESIZE_TABLE = str.maketrans({"0": "00", "1": "11", "a": "0", "b": "1"})
 
 
 class ResourceGuardError(RuntimeError):
@@ -89,20 +95,6 @@ class RunDecomposition(NamedTuple):
         return _spell(self.first_bit, self.run_lengths)
 
 
-def _run_lengths(w: Word) -> list[int]:
-    """Maximal run lengths of a nonempty word that is already validated."""
-    lengths = []
-    current = 1
-    for prev, ch in zip(w, w[1:]):
-        if ch == prev:
-            current += 1
-        else:
-            lengths.append(current)
-            current = 1
-    lengths.append(current)
-    return lengths
-
-
 def _spell(first_bit: int, run_lengths: tuple[int, ...]) -> Word:
     """The word with these run lengths whose first letter is first_bit."""
     bit = first_bit
@@ -117,7 +109,16 @@ def runs(w: Word) -> RunDecomposition:
     """Decompose w into maximal runs. The empty word has no runs (first_bit 0)."""
     if not check_word(w):
         return RunDecomposition(0, ())
-    return RunDecomposition(int(w[0]), tuple(_run_lengths(w)))
+    lengths = []
+    current = 1
+    for prev, ch in zip(w, w[1:]):
+        if ch == prev:
+            current += 1
+        else:
+            lengths.append(current)
+            current = 1
+    lengths.append(current)
+    return RunDecomposition(int(w[0]), tuple(lengths))
 
 
 def is_reduced(w: Word) -> str:
@@ -128,10 +129,9 @@ def is_reduced(w: Word) -> str:
     leftovers such as "", "0" or "00" are only reduced with respect to
     internal moves.
     """
-    r = runs(w)
-    if any(n > 2 for n in r.run_lengths):
+    if "000" in check_word(w) or "111" in w:
         return NOT_INTERNAL_REDUCED
-    if len(w) >= 3 and r.run_lengths[0] == 1 and r.run_lengths[-1] == 1:
+    if len(w) >= 3 and w[0] != w[1] and w[-2] != w[-1]:
         return REDUCED
     return INTERNAL_REDUCED_ONLY
 
@@ -241,10 +241,15 @@ def resize(w: Word) -> Word:
     return _resized(w)
 
 
+def _run_tokens(w: Word) -> str:
+    """One character per run of a word whose runs have at most two letters."""
+    return w.replace("00", "a").replace("11", "b")
+
+
 def _resized(w: Word) -> Word:
-    """resize() of a word already known to be reduced."""
-    inner = _run_lengths(w)[1:-1]
-    return _spell(int(w[0]), [1, *(3 - n for n in inner), 1])
+    """resize() of a reduced word: its inner run tokens swap lengths 1 and 2."""
+    tokens = _run_tokens(w)
+    return tokens[0] + tokens[1:-1].translate(_RESIZE_TABLE) + tokens[-1]
 
 
 class KnotClass(NamedTuple):
@@ -283,32 +288,43 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"unknown chirality mode {mode!r}; expected one of {_MODES}")
 
 
-def symmetry_orbit(w: Word, mode: str = MIRROR_IDENTIFIED) -> frozenset[Word]:
-    """Closure of reduce(w) under the symmetries allowed by the mode.
+def _orbit_halves(w: Word, mode: str) -> tuple[frozenset[Word], frozenset[Word]]:
+    """The symmetry orbit of reduce(w) as its forms at the terminal's length
+    and its forms at the resized length (the other class mod 3).
 
-    Mirror-identified uses complement, reverse and resize.  Chiral mode uses
-    only the chirality-preserving operations: reverse, and complement
-    composed with resize (which still toggles the length class).  These
-    commute, so the orbit is spelled from the terminal's runs (b, L) and
-    their resize L': (b, L), (1-b, L), (b, L'), (1-b, L') when mirrors are
-    identified, (b, L) and (1-b, L') when chiral, each also reversed.
+    The symmetries commute, so the halves are spelled from the terminal t
+    and its resize s: t, s and their complements when mirrors are
+    identified, t and the complement of s when chiral, each also reversed.
+    The unknot leftovers split as {""} and {"0", "1"}.
     """
     _check_mode(mode)
     t = reduce(w)
     if t in UNKNOT_FORMS:
-        return frozenset(("", "0", "1"))
+        return frozenset(("",)), frozenset(("0", "1"))
     if len(t) % 3 == 2:
         raise ValueError(
             f"{w!r} reduces to {t!r} of length 2 mod 3; "
             "the underlying trajectory is not a knot"
         )
-    resized = _resized(t)
-    if mode == MIRROR_IDENTIFIED:
-        forms = [t, t.translate(_COMPLEMENT_TABLE), resized,
-                 resized.translate(_COMPLEMENT_TABLE)]
-    else:
-        forms = [t, resized.translate(_COMPLEMENT_TABLE)]
-    return frozenset(forms + [u[::-1] for u in forms])
+    s = _resized(t)
+    if mode == CHIRAL:
+        s = s.translate(_COMPLEMENT_TABLE)
+        return frozenset((t, t[::-1])), frozenset((s, s[::-1]))
+    tc, sc = t.translate(_COMPLEMENT_TABLE), s.translate(_COMPLEMENT_TABLE)
+    return (frozenset((t, tc, t[::-1], tc[::-1])),
+            frozenset((s, sc, s[::-1], sc[::-1])))
+
+
+def symmetry_orbit(w: Word, mode: str = MIRROR_IDENTIFIED) -> frozenset[Word]:
+    """Closure of reduce(w) under the symmetries allowed by the mode.
+
+    Mirror-identified uses complement, reverse and resize.  Chiral mode uses
+    only the chirality-preserving operations: reverse, and complement
+    composed with resize (which still toggles the length class).  Every
+    unknot leftover has the orbit {"", "0", "1"}.
+    """
+    same, other = _orbit_halves(w, mode)
+    return same | other
 
 
 def knot_class(w: Word, mode: str = MIRROR_IDENTIFIED) -> KnotClass:
@@ -316,24 +332,24 @@ def knot_class(w: Word, mode: str = MIRROR_IDENTIFIED) -> KnotClass:
 
     Any word reducing to one of the unknot leftovers maps to the single
     unknot class.  Words whose terminal length is 2 mod 3 do not come from
-    valid diagrams and are rejected.
+    valid diagrams and are rejected.  The orbit's halves give the class:
+    their lengths are ell0 and ell1, their common size r, and the least word
+    of the shorter half is the canonical word.
     """
-    orbit = symmetry_orbit(w, mode)
-    if "" in orbit:
+    same, other = _orbit_halves(w, mode)
+    if "" in same:
         return UNKNOT_CLASS
-    by_residue: dict[int, list[Word]] = {0: [], 1: []}
-    for u in orbit:
-        by_residue[len(u) % 3].append(u)
-    r0, r1 = len(by_residue[0]), len(by_residue[1])
-    if r0 != r1 or r0 == 0:
-        raise AssertionError(f"orbit of {w!r} is unbalanced: {sorted(orbit)}")
-    canonical = min(orbit, key=lambda u: (len(u), u))
+    if len(same) != len(other):
+        raise AssertionError(f"orbit of {w!r} is unbalanced: {sorted(same | other)}")
+    lengths = len(next(iter(same))), len(next(iter(other)))
+    canonical = min(same if lengths[0] < lengths[1] else other)
+    ell0, ell1 = lengths if lengths[0] % 3 == 0 else lengths[::-1]
     return KnotClass(
         canonical=canonical,
-        ell0=len(by_residue[0][0]),
-        ell1=len(by_residue[1][0]),
-        multiplicity_r=r0,
-        crossing_number=runs(canonical).count,
+        ell0=ell0,
+        ell1=ell1,
+        multiplicity_r=len(same),
+        crossing_number=len(_run_tokens(canonical)),
         is_unknot=False,
     )
 
@@ -341,8 +357,9 @@ def knot_class(w: Word, mode: str = MIRROR_IDENTIFIED) -> KnotClass:
 def crossing_number(w: Word) -> int:
     """Crossing number of the knot: the run count of the terminal word.
 
-    A terminal of at most one run is an unknot leftover (one of
-    UNKNOT_FORMS) and has crossing number 0.
+    reduce() leaves runs of at most two letters, so the run count is the
+    number of run tokens.  A terminal of at most one run is an unknot
+    leftover (one of UNKNOT_FORMS) and has crossing number 0.
     """
-    count = runs(reduce(w)).count
+    count = len(_run_tokens(reduce(w)))
     return count if count > 1 else 0

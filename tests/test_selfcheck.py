@@ -17,6 +17,7 @@ binomial_lt, count_full = counting.binomial_lt, counting.count_full
 binomial_and_below = counting._binomial_and_below
 count_internal = counting.count_internal
 knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
+orbit_halves = words._orbit_halves
 crossing_pmf = distributions.crossing_pmf
 external_moves = sampler._external_moves
 
@@ -47,8 +48,13 @@ def _move_a_word_from_3_to_4(n):  # the total, and so the unknot, stays right
 
 
 def _orbit_without_resized_forms(w, mode):  # only the terminal's own length
-    orbit = symmetry_orbit(w, mode)
-    return frozenset(u for u in orbit if len(u) == len(words.reduce(w)))
+    return orbit_halves(w, mode)[0], frozenset()
+
+
+def _last_inner_run_unswapped(w):  # resize, but the last inner run keeps its length
+    first, lengths = words.runs(w)
+    inner = (*(3 - n for n in lengths[1:-2]), lengths[-2])
+    return words.RunDecomposition(first, (1, *inner, 1)).word()
 
 
 def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
@@ -97,9 +103,11 @@ PLANTED = [
     pytest.param(sc.check_distribution, ((3,), (words.CHIRAL,)), oracle,
                  "symmetry_orbit", lambda w, mode: symmetry_orbit(w, mode) | {"101"},
                  id="check_distribution-oracle_symmetry_orbit"),
-    pytest.param(sc.check_distribution, ((3, 4),), words, "symmetry_orbit",
+    pytest.param(sc.check_distribution, ((3, 4),), words, "_orbit_halves",
                  _orbit_without_resized_forms,
                  id="check_distribution-words_symmetry_orbit"),
+    pytest.param(sc.check_distribution, ((3, 4),), words, "_resized",
+                 _last_inner_run_unswapped, id="check_distribution-words_resized"),
     # knot_probability is right, so only the per-crossing-number line can see it
     pytest.param(sc.check_distribution, ((4,),), distributions, "crossing_pmf",
                  _move_a_word_from_3_to_4, id="check_distribution-crossing_pmf"),

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import numpy as np
@@ -13,6 +14,7 @@ from billiardknots.words import (
     EXTERNAL_SUFFIX,
     INTERNAL,
     INTERNAL_REDUCED_ONLY,
+    KnotClass,
     MIRROR_IDENTIFIED,
     NOT_INTERNAL_REDUCED,
     REDUCED,
@@ -239,11 +241,22 @@ def test_symmetry_involutions(w):
     assert is_reduced(resize(w)) == REDUCED
 
 
+def _reference_resize(w):
+    """resize() spelled from runs(w): each inner run of length L gets 3 - L."""
+    first, lengths = runs(w)
+    return RunDecomposition(first, (1, *(3 - n for n in lengths[1:-1]), 1)).word()
+
+
+def test_resize_meets_the_run_length_reference():
+    for w in reduced_words(16):
+        assert resize(w) == _reference_resize(w), w
+
+
 def _closure(w, mode):
     if mode == CHIRAL:
-        generators = (reverse, lambda u: complement(resize(u)))
+        generators = (reverse, lambda u: complement(_reference_resize(u)))
     else:
-        generators = (complement, reverse, resize)
+        generators = (complement, reverse, _reference_resize)
     orbit, frontier = {w}, [w]
     while frontier:
         u = frontier.pop()
@@ -362,6 +375,37 @@ def test_multiplicity_values():
     assert 2 in seen_chiral
 
 
+def _defined_class(t, mode):
+    """The knot class of a terminal t, read from its reference closure."""
+    if t in UNKNOT_FORMS:
+        return UNKNOT_CLASS
+    orbit = _closure(t, mode)
+    by_residue = {0: [], 1: []}
+    for u in orbit:
+        by_residue[len(u) % 3].append(u)
+    r = len(by_residue[0])
+    assert r == len(by_residue[1]), t
+    canonical = min(orbit, key=lambda u: (len(u), u))
+    return KnotClass(canonical=canonical, ell0=len(by_residue[0][0]),
+                     ell1=len(by_residue[1][0]), multiplicity_r=r,
+                     crossing_number=runs(canonical).count, is_unknot=False)
+
+
+@pytest.mark.parametrize("mode", [MIRROR_IDENTIFIED, CHIRAL])
+def test_knot_class_meets_its_definition(mode):
+    defined = {}
+    for n in range(14):
+        for w in all_words(n):
+            t = reduce_by_moves(w)
+            if len(t) % 3 == 2 and t not in UNKNOT_FORMS:
+                with pytest.raises(ValueError):
+                    knot_class(w, mode)
+                continue
+            if t not in defined:
+                defined[t] = _defined_class(t, mode)
+            assert knot_class(w, mode) == defined[t], w
+
+
 def test_knot_class_json():
     data = knot_class("101").to_json()
     assert data == {
@@ -387,3 +431,14 @@ def test_crossing_number(w, c):
 def test_unknot_forms_have_no_moves_or_crossings():
     for w in UNKNOT_FORMS:
         assert crossing_number(w) == 0
+
+
+@pytest.mark.parametrize("n", [999, 1000, 9999, 10000, 99999, 100000])
+def test_crossing_number_of_long_words(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        w = "".join(rng.choices("01", k=n))
+        count = runs(reduce(w)).count
+        assert crossing_number(w) == (count if count > 1 else 0)
+        for mode in (MIRROR_IDENTIFIED, CHIRAL):
+            assert knot_class(w, mode).crossing_number == crossing_number(w)
