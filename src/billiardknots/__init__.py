@@ -24,8 +24,8 @@ _EXPORTS = {
     "distributions": ("ALPHA", "BETA", "AsymptoticReport", "BetaSummary",
                       "CrossingPmf", "ExactProb", "alpha_rate", "beta_summary",
                       "crossing_pmf", "knot_probability", "phi", "phi_gradient"),
-    "insertions": ("LocationSet", "ReconstructionTrace", "is_feasible",
-                   "location_map", "reconstruct"),
+    "insertions": ("ReconstructionTrace", "is_feasible", "location_map",
+                   "reconstruct"),
     "oracle": ("ExactDist", "all_terminal_words", "crossing_pmf_by_double_sum",
                "enumerate_insertions", "exact_distribution", "reduce_by_moves",
                "tally_terminals"),

@@ -88,9 +88,7 @@ def feasible_count(size: int, s: int) -> int:
     When 3*s exceeds size + 1 the expression goes negative and no feasible
     set exists; the count is clamped to 0.
     """
-    if size < 1:
-        raise ValueError("size must be positive")
-    s = check_count("s", s)
+    size, s = check_count("size", size), check_count("s", s)
     value = binomial(size, s) - 2 * binomial(size, s - 1)
     return value if value > 0 else 0
 

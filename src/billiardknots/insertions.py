@@ -1,4 +1,4 @@
-"""Canonical triple insertions: location sets, reconstruction, feasibility.
+"""Canonical triple insertions: location tuples, reconstruction, feasibility.
 
 Inserting triples (000/111 anywhere; 001/110 as a prefix; 011/100 as a
 suffix) is the inverse of the reduction moves in billiardknots.words.  Every
@@ -15,35 +15,11 @@ from typing import NamedTuple, Optional
 from .words import Word, check_count, check_word
 
 
-class _LocationSetFields(NamedTuple):
-    locations: tuple[int, ...]
-    capacity: int
-
-
-class LocationSet(_LocationSetFields):
-    """Strictly increasing insertion locations, at most `capacity` of them."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
-
-    def __new__(cls, locations: tuple[int, ...], capacity: int):
-        # a tuple keeps the set hashable; operator.index rejects 1.5 and "2"
-        locs = tuple(map(operator.index, locations))
-        capacity = operator.index(capacity)
-        if any(x < 1 for x in locs) or any(a >= b for a, b in zip(locs, locs[1:])):
-            raise ValueError(f"locations must be strictly increasing and >= 1: {locs}")
-        if capacity < 0 or len(locs) > capacity:
-            raise ValueError(f"{len(locs)} locations exceed capacity {capacity}")
-        return super().__new__(cls, locs, capacity)
-
-
 def _location_tuple(locations, size: int) -> tuple[int, ...]:
-    """The distinct locations in increasing order; each must lie in 1..size."""
-    if isinstance(locations, LocationSet):
-        locs = locations.locations
-    else:
-        # operator.index rejects 1.5 and "2", which int() would turn into 1 and 2
-        locs = tuple(sorted(set(map(operator.index, locations))))
+    """The one location rule: any iterable of ints, taken sorted with
+    repeats merged; each location must lie in 1..size."""
+    # operator.index rejects 1.5 and "2", which int() would turn into 1 and 2
+    locs = tuple(sorted(set(map(operator.index, locations))))
     if locs and (locs[0] < 1 or locs[-1] > size):
         raise ValueError(f"locations {locs} outside 1..{size}")
     return locs
@@ -122,13 +98,14 @@ def reconstruct(w: Word, m: int, locations) -> ReconstructionTrace:
     return ReconstructionTrace(w, m, locs, tuple(steps), word)
 
 
-def location_map(w: Word, w_prime: Word) -> Optional[LocationSet]:
+def location_map(w: Word, w_prime: Word) -> Optional[tuple[int, ...]]:
     """Canonical insertion locations taking w to w_prime, if any.
 
     Runs the reconstruction stack in reverse: reading w_prime while
     consuming w, a mismatch with the expected next letter must open a new
-    inserted triple, whose location is recorded.  Returns None when
-    w_prime is not reachable from w by internal insertions.
+    inserted triple, whose location is recorded.  Returns the locations
+    in increasing order, or None when w_prime is not reachable from w by
+    internal insertions.
     """
     check_word(w)
     check_word(w_prime)
@@ -150,7 +127,7 @@ def location_map(w: Word, w_prime: Word) -> Optional[LocationSet]:
             stack += [ch, ch]  # the third copy is the letter just written
     if stack or len(locs) > m:
         return None
-    return LocationSet(tuple(locs), m)
+    return tuple(locs)
 
 
 def is_feasible(size: int, locations) -> bool:
@@ -160,8 +137,7 @@ def is_feasible(size: int, locations) -> bool:
     many non-locations as locations; exactly the sets on which
     reconstruct() succeeds (for any base word of the matching length).
     """
-    if size < 1:
-        raise ValueError("size must be positive")
+    size = check_count("size", size)
     locs = set(_location_tuple(locations, size))
     inside = outside = 0
     for t in range(size, 0, -1):

@@ -207,10 +207,9 @@ def check_location_roundtrip(max_len: int, max_m: int) -> Check:
                     loc = insertions.location_map(w, wp)
                     if loc is None:
                         return False, f"{w!r} -> {wp!r}: no map"
-                    other = seen.setdefault(loc.locations, wp)
+                    other = seen.setdefault(loc, wp)
                     if other != wp:
-                        detail = f"{w!r} -> {wp!r} and {other!r} share {loc.locations}"
-                        return False, detail
+                        return False, f"{w!r} -> {wp!r} and {other!r} share {loc}"
                     trace = insertions.reconstruct(w, m, loc)
                     if trace.word != wp:
                         return False, f"{w!r} -> {wp!r} via {loc}"
@@ -223,8 +222,6 @@ def check_feasibility(max_len: int, max_m: int) -> Check:
     for n in range(max_len + 1):
         for m in range(max_m + 1):
             size = 3 * m + n
-            if size == 0:
-                continue
             for k in range(m + 1):
                 for locs in combinations(range(1, size + 1), k):
                     feasible = insertions.is_feasible(size, locs)

@@ -12,11 +12,14 @@ partial row pass went two terms per step, so they pin its long walks
 past the one-digit edge at n = 32768.  The next two, pmf at n = 1000 in
 json and at n = 2002 in csv, were made at commit 5054d9c, while the pmf
 row still came from its own one-pass row function, so they pin whole
-rows walked through count_full's anchor.  The last nine, pmf at n = 0, 1
+rows walked through count_full's anchor.  The next nine, pmf at n = 0, 1
 and 3 in text, json and csv, were made at commit b4796d8, while each mass
 was still stored as its own ExactProb, so they pin the rows holding only
 the unknot and the first row with a crossing mass across the move to word
-counts over 2**n.  Nothing here rewrites the pins: a change that means to
+counts over 2**n.  The last three, trace with --locations 9,2,5,2 in text,
+json and csv, were made at commit 570eea6 and hash the same as the
+--locations 2,5,9 rows: they pin the lenient location rule (sorted,
+repeats merged).  Nothing here rewrites the pins: a change that means to
 alter a pinned stdout edits the file by hand and says why.
 """
 

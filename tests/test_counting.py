@@ -125,6 +125,8 @@ def test_feasible_count_examples():
     assert feasible_count(9, 2) == 18
     assert feasible_count(9, 0) == 1
     assert feasible_count(9, 1) == 7
+    assert feasible_count(0, 0) == 1  # the empty range holds only the empty set
+    assert feasible_count(0, 1) == 0
     assert brute_feasible_count(9, 2) == 18
     assert brute_feasible_count(9, 1) == 7
 
@@ -151,11 +153,8 @@ def test_count_internal_examples():
 def test_count_internal_is_sum_of_feasible_counts():
     for ell in range(6):
         for m in range(5):
-            size = 3 * m + ell
-            if size == 0:
-                continue
             assert count_internal(ell, m) == sum(
-                feasible_count(size, s) for s in range(m + 1)
+                feasible_count(3 * m + ell, s) for s in range(m + 1)
             )
 
 
@@ -206,7 +205,7 @@ def test_counts_reject_negative_arguments():
         (count_internal, (0, -1), ValueError, "m must be nonnegative"),
         (count_full, (0, -1), ValueError, "ell must be nonnegative"),
         (feasible_count, (5, -1), ValueError, "s must be nonnegative"),
-        (feasible_count, (0, 0), ValueError, "size must be positive"),
+        (feasible_count, (-1, 0), ValueError, "size must be nonnegative"),
         (binomial_lt, (-1, 1), ValueError, "n must be nonnegative"),
         (binomial, (5, 9.5), TypeError, "float"),
         (check_length, (1.5,), TypeError, "float"),

@@ -3,12 +3,7 @@ from itertools import combinations
 import pytest
 
 from billiardknots import selfcheck
-from billiardknots.insertions import (
-    LocationSet,
-    is_feasible,
-    location_map,
-    reconstruct,
-)
+from billiardknots.insertions import is_feasible, location_map, reconstruct
 
 
 # ---------------------------------------------------------------- reconstruct
@@ -76,63 +71,31 @@ def test_locations_must_be_integers(locations):
         is_feasible(4, locations)
 
 
-def test_reconstruct_accepts_location_set_objects():
-    loc = LocationSet((1, 5), 2)
-    assert reconstruct("101", 2, loc).word == "000111101"
-
-
-@pytest.mark.parametrize("locations, capacity, message", [
-    ((0, 1), 2, "strictly increasing and >= 1"),
-    ((5, 1), 2, "strictly increasing and >= 1"),
-    ((2, 2), 2, "strictly increasing and >= 1"),
-    ((1, 2, 3), 2, "3 locations exceed capacity 2"),
-    ((), -1, "0 locations exceed capacity -1"),
-])
-def test_location_set_validation(locations, capacity, message):
-    with pytest.raises(ValueError, match=message):
-        LocationSet(locations, capacity)
-    with pytest.raises(ValueError, match=message):
-        LocationSet(locations=locations, capacity=capacity)
-
-
-def test_location_set_stores_a_tuple_of_ints():
-    loc = LocationSet([1, 5], 2)
-    assert loc.locations == (1, 5) and type(loc.locations) is tuple
-    assert hash(loc) == hash(LocationSet((1, 5), 2))
-    trace = reconstruct("101", 2, loc)
-    assert trace.locations == (1, 5) and type(trace.locations) is tuple
-    assert type(LocationSet((), 2)._replace(locations=[1, 5]).locations) is tuple
-
-
-@pytest.mark.parametrize("locations, capacity", [([1.5], 2), ([2.0], 2), (["2"], 2),
-                                                 ((1,), 2.0)])
-def test_location_set_fields_must_be_integers(locations, capacity):
+@pytest.mark.parametrize("locations, m", [([1.5], 2), ([2.0], 2), (["2"], 2),
+                                          ((1,), 2.0)])
+def test_location_set_fields_must_be_integers(locations, m):
+    # the locations and the m they are counted against
     with pytest.raises(TypeError):
-        LocationSet(locations, capacity)
-    with pytest.raises(TypeError):
-        LocationSet((), 2)._replace(locations=locations, capacity=capacity)
+        reconstruct("101", m, locations)
 
 
-def test_location_set_is_immutable():
-    loc = LocationSet((1, 5), 2)
-    assert repr(loc) == "LocationSet(locations=(1, 5), capacity=2)"
-    with pytest.raises(AttributeError):
-        loc.capacity = 1
-
-
-def test_location_set_replace_validates():
-    loc = LocationSet((1, 5), 2)
-    assert loc._replace(capacity=3) == LocationSet((1, 5), 3)
-    with pytest.raises(ValueError, match="exceed capacity 1"):
-        loc._replace(capacity=1)
+def test_one_location_rule():
+    # any iterable of ints, taken sorted with repeats merged
+    word = reconstruct("101", 2, (1, 5)).word
+    for locations in ([5, 1], (1, 5, 5), {5, 1}, iter([5, 1])):
+        trace = reconstruct("101", 2, locations)
+        assert trace.word == word
+        assert trace.locations == (1, 5) and type(trace.locations) is tuple
+    assert is_feasible(9, [8, 1, 1]) == is_feasible(9, (1, 8))
+    assert type(location_map("101", "000111101")) is tuple
 
 
 # ---------------------------------------------------------------- location map
 
 def test_location_map_examples():
-    assert location_map("101", "000111101").locations == (1, 5)
-    assert location_map("101", "101000").locations == ()
-    assert location_map("101", "100001001110").locations == (3, 9)
+    assert location_map("101", "000111101") == (1, 5)
+    assert location_map("101", "101000") == ()
+    assert location_map("101", "100001001110") == (3, 9)
 
 
 def test_location_map_non_member():
@@ -155,7 +118,7 @@ def test_location_map_inverts_reconstruct():
                 for locs in combinations(range(1, size + 1), k):
                     trace = reconstruct(w, m, locs)
                     if trace.success:
-                        assert location_map(w, trace.word).locations == locs
+                        assert location_map(w, trace.word) == locs
 
 
 def test_injectivity_small():
@@ -178,8 +141,9 @@ def test_is_feasible_bounds():
         is_feasible(9, (10,))
     with pytest.raises(ValueError, match=r"outside 1\.\.9$"):
         reconstruct("101", 2, [0])  # the same range check
-    with pytest.raises(ValueError):
-        is_feasible(0, ())
+    assert is_feasible(0, ())  # the empty range holds only the empty set
+    with pytest.raises(ValueError, match="size must be nonnegative"):
+        is_feasible(-1, ())
 
 
 def test_feasibility_equals_reconstruction_success():
