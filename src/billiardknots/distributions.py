@@ -74,7 +74,7 @@ def knot_probability(knot: KnotClass, n: int) -> ExactProb:
     The unknot uses its own count through the empty word, rescaled to the
     common denominator 2**n.
     """
-    check_length(n)
+    n = check_length(n)
     if knot.is_unknot:
         m = n // 3
         return ExactProb(count_full(m, 0) << (n - 3 * m), n)
@@ -147,7 +147,7 @@ def crossing_pmf(n: int) -> CrossingPmf:
     counts, the unknot's included, sum to exactly 2**n.  oracle keeps the
     term by term double sum as the reference.
     """
-    check_length(n)
+    n = check_length(n)
     g = [0] * (n + 1)
     g[::3] = [count_full(m, n - 3 * m) for m in range(n // 3 + 1)]
     counts = {0: knot_probability(UNKNOT_CLASS, n).numerator}
@@ -177,6 +177,7 @@ class AsymptoticReport(NamedTuple):
 
 def alpha_rate(knot: KnotClass, n: int) -> AsymptoticReport:
     """Per-crossing log-probability of the knot at length n, against log2(alpha)."""
+    n = check_length(n)
     p = knot_probability(knot, n)
     if p.numerator == 0:
         raise ValueError(f"probability of {knot.canonical!r} at n={n} is 0")
@@ -207,7 +208,7 @@ def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
     """
     from fractions import Fraction
 
-    counts = crossing_pmf(n).counts
+    n, counts = crossing_pmf(n)
     if n < 3:
         raise ValueError(f"n={n} has no crossing mass, so the pmf has no mode")
     # every count is over 2**n, so counts compare and add as the masses do

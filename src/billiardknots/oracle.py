@@ -95,7 +95,7 @@ def crossing_pmf_by_double_sum(n: int) -> CrossingPmf:
     from .counting import binomial, count_full
     from .distributions import CrossingPmf, knot_probability
 
-    check_length(n)
+    n = check_length(n)
     counts = {0: knot_probability(UNKNOT_CLASS, n).numerator}
     for c in range(3, n + 1):
         acc = 0
@@ -113,7 +113,8 @@ def tally_terminals(n: int, *, max_n: int = 22) -> Counter:
     Words are streamed, so only the (small) set of distinct terminal words
     is ever held at once.
     """
-    check_guard("n", check_length(n), max_n, "enumeration")
+    n = check_length(n)
+    check_guard("n", n, max_n, "enumeration")
     return Counter(map(reduce, all_words(n)))
 
 
@@ -146,7 +147,7 @@ def exact_distribution(
     n: int, mode: str = MIRROR_IDENTIFIED, *, max_n: int = 22
 ) -> ExactDist:
     """Reduce every one of the 2**n words and tally the resulting knots."""
-    return classify_terminals(n, tally_terminals(n, max_n=max_n), mode)
+    return classify_terminals(check_length(n), tally_terminals(n, max_n=max_n), mode)
 
 
 def enumerate_insertions(

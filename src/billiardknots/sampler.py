@@ -7,10 +7,10 @@ order-independent.
 
 The drawn words are reduced in lockstep: row_crossings walks the n letter
 columns once over a block of up to 4096 words with numpy, each word
-keeping its own stack of run lengths, so the Python loop runs n times per
-block, not once per letter of every word.  On a 2-vCPU machine sample_pmf
-draws and reduces about 1.3 million words/s at n = 30 and 145 thousand at
-n = 300.
+keeping its stack of run lengths in its own letter cells, so the Python
+loop runs n times per block, not once per letter of every word.  On a
+2-vCPU machine sample_pmf draws and reduces about 1.3 million words/s at
+n = 30 and 145 thousand at n = 300.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ if TYPE_CHECKING:  # distributions loads only where a caller builds the exact pm
     from .distributions import CrossingPmf
 
 _BATCH = 4096
-# rows are reduced in blocks with one uint8 stack cell per letter, at most
-# this many cells (bytes) a block, or one row's n cells when n is larger
+# draws of fewer letters than this are held and walked together
 _BLOCK_CELLS = 1 << 22
 
 
@@ -72,10 +71,12 @@ def row_crossings(rows: np.ndarray) -> np.ndarray:
     columns are pushed in lockstep onto one run-length stack per row (the
     internal moves of words.reduce's letter stack, kept as runs: a run that
     reaches three letters is popped), then the external prefix and suffix
-    moves trim both ends.
+    moves trim both ends.  After column j a row's stack holds at most j + 1
+    runs, so it lives in the row's own cells, over letters already read:
+    C-ordered, writeable uint8 rows are overwritten, other rows are copied.
     """
     batch, n = rows.shape
-    stack = np.empty(batch * n, dtype=np.uint8)  # row r owns cells r*n .. r*n+n-1
+    stack = np.require(rows, np.uint8, ["C", "W"]).reshape(-1)  # row r: r*n .. r*n+n-1
     base = np.arange(batch, dtype=np.intp) * n
     top = base - 1  # each row's top cell; below base when its stack is empty
     bit = np.zeros(batch, dtype=np.uint8)  # the letter of each top run
@@ -88,10 +89,10 @@ def row_crossings(rows: np.ndarray) -> np.ndarray:
         length = stack[top]
         length *= same
         length += 1
-        stack[top] = length
         full = length == 3
-        top -= full
         np.bitwise_xor(letter, full, out=bit)  # the runs below alternate
+        stack[top] = length  # may land on column j, so letter is read first
+        top -= full
     first, last = base.copy(), top
     _external_moves(stack, first, last, 1)
     _external_moves(stack, first, last, -1)
@@ -136,27 +137,22 @@ def _draws(n: int, count: int, seed: int, workers: int):
             remaining -= batch
 
 
-def _tally(histogram: Counter, draws: list, block_rows: int) -> None:
-    """Count the crossing numbers of the drawn rows, block_rows at a time."""
-    if not draws:
-        return
+def _tally(histogram: Counter, draws: list) -> None:
+    """Count the crossing numbers of the held rows (at least one) in one walk."""
     rows = draws[0] if len(draws) == 1 else np.concatenate(draws)
-    for start in range(0, len(rows), block_rows):
-        crossings = row_crossings(rows[start : start + block_rows])
-        values, counts = np.unique(crossings, return_counts=True)
-        histogram.update(dict(zip(values.tolist(), counts.tolist())))
+    values, counts = np.unique(row_crossings(rows), return_counts=True)
+    histogram.update(dict(zip(values.tolist(), counts.tolist())))
 
 
-def check_sample(n: int, count: int, seed: int, workers: int) -> tuple[int, int, int]:
-    """Validate sample_pmf's arguments; return count, seed and workers as ints."""
-    check_length(n)
-    count = check_count("count", count)
+def check_sample(n: int, count: int, seed: int, workers: int) -> tuple[int, ...]:
+    """Validate sample_pmf's arguments; return n, count, seed and workers as ints."""
+    n, count = check_length(n), check_count("count", count)
     seed, workers = operator.index(seed), operator.index(workers)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in 0 .. 2**64 - 1, got {seed}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    return count, seed, workers
+    return n, count, seed, workers
 
 
 def sample_pmf(
@@ -176,23 +172,23 @@ def sample_pmf(
     (n, count, seed, workers).  The seed is one 64-bit Philox key word, so
     it must lie in 0 .. 2**64 - 1.
     """
-    count, seed, workers = check_sample(n, count, seed, workers)
+    n, count, seed, workers = check_sample(n, count, seed, workers)
     if exact is not None and exact.n != n:
         raise ValueError(f"exact pmf is for n={exact.n}, not n={n}")
 
     histogram: Counter[int] = Counter()
     block_rows = max(1, min(_BATCH, _BLOCK_CELLS // max(n, 1)))
-    # small draws, of one worker or the next, are held until they fill a
-    # block, so a small quota per worker does not cost a walk of its own
+    # draws wait for block_rows rows, so a small quota costs no walk of its own
     held: list[np.ndarray] = []
     held_rows = 0
     for rows in _draws(n, count, seed, workers):
         held.append(rows)
         held_rows += len(rows)
         if held_rows >= block_rows:
-            _tally(histogram, held, block_rows)
+            _tally(histogram, held)
             held, held_rows = [], 0
-    _tally(histogram, held, block_rows)
+    if held:
+        _tally(histogram, held)
 
     tv = None
     if exact is not None and count > 0:

@@ -36,25 +36,27 @@ def check_reduce_engines(max_n: int) -> Check:
 
 def check_sampler_crossings(max_n: int) -> Check:
     """The sampler's lockstep batch reduction gives words.crossing_number on
-    every word up to length max_n and on 100 random words of each length up
-    to 60, drawn from seed 0."""
+    every word up to length max_n, on 100 random words of each length up to 60
+    from seed 0, and on 3001-letter rows as uint8 and bool: alternating (each
+    push lands on the column just read), 000111... (each third pops), random."""
     import numpy as np  # only the sampler and its check load numpy
 
     from . import sampler
 
-    batches = [
-        np.array([list(map(int, w)) for w in oracle.all_words(n)], dtype=np.uint8)
-        for n in range(max_n + 1)
-    ]
+    batches = [np.array([list(map(int, w)) for w in oracle.all_words(n)], dtype=np.uint8)
+               for n in range(max_n + 1)]
     rng = np.random.default_rng(0)
     batches += [rng.integers(0, 2, size=(100, n), dtype=np.uint8) for n in range(1, 61)]
-    for rows in batches:
-        for row, got in zip(rows, sampler.row_crossings(rows).tolist()):
-            w = "".join(map(str, row.tolist()))
+    col = np.arange(3001)
+    long = np.vstack([col % 2, 1 - col % 2, col // 3 % 2, rng.integers(0, 2, (8, 3001))])
+    batches += [long.astype(np.uint8), long.astype(bool)]
+    for rows in batches:  # the walk overwrites uint8 rows, so it gets a copy
+        for row, got in zip(rows, sampler.row_crossings(rows.copy()).tolist()):
+            w = "".join("01"[b] for b in row.tolist())
             if got != words.crossing_number(w):
                 return False, f"{w!r}: {got} != {words.crossing_number(w)}"
-    return True, (f"all words up to length {max_n}, "
-                  "100 random words of each length up to 60")
+    return True, (f"all words up to length {max_n}, 100 random words of each "
+                  "length up to 60, 11 rows of 3001 letters as uint8 and bool")
 
 
 def check_confluence(max_n: int) -> Check:

@@ -16,10 +16,14 @@ rows walked through count_full's anchor.  The next nine, pmf at n = 0, 1
 and 3 in text, json and csv, were made at commit b4796d8, while each mass
 was still stored as its own ExactProb, so they pin the rows holding only
 the unknot and the first row with a crossing mass across the move to word
-counts over 2**n.  The last three, trace with --locations 9,2,5,2 in text,
+counts over 2**n.  The next three, trace with --locations 9,2,5,2 in text,
 json and csv, were made at commit 570eea6 and hash the same as the
 --locations 2,5,9 rows: they pin the lenient location rule (sorted,
-repeats merged).  Nothing here rewrites the pins: a change that means to
+repeats merged).  The last two, sample at n = 3001 with --workers 2 and
+at n = 12205 in json, were made at commit 98b0789, while the sampler
+still split the rows it walked into blocks of at most 2**22 letters
+(1397 + 103 and 343 + 57 rows), so they pin the reports across the move
+to one in-place walk per held draw.  Nothing here rewrites the pins: a change that means to
 alter a pinned stdout edits the file by hand and says why.
 """
 

@@ -1,11 +1,13 @@
 import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
-from billiardknots import counting, selfcheck
+from billiardknots import counting, oracle, sampler, selfcheck
 from billiardknots.counting import binomial, binomial_lt, count_full, count_internal
 from billiardknots.distributions import (
     BETA,
@@ -166,6 +168,27 @@ def test_invalid_lengths_rejected():
             knot_probability(TREFOIL, n)
         with pytest.raises(ValueError):
             crossing_pmf(n)
+
+
+@pytest.mark.parametrize("n", [6, 72])
+def test_numpy_integer_lengths_are_taken_as_python_ints(n):
+    # at 72 a numpy shift count would overflow count_full(m, 0) << (n - 3m)
+    m = np.int64(n)
+    for knot in (UNKNOT_CLASS, TREFOIL):
+        assert knot_probability(knot, m) == knot_probability(knot, n)
+    pmf = crossing_pmf(m)
+    assert pmf == crossing_pmf(n) == oracle.crossing_pmf_by_double_sum(m)
+    report = sampler.sample_pmf(m, 50, seed=1)
+    assert report == sampler.sample_pmf(n, 50, seed=1)
+    dist = oracle.exact_distribution(np.int64(4))
+    assert dist == oracle.exact_distribution(4)
+    assert oracle.tally_terminals(np.int64(6)) == oracle.tally_terminals(6)
+    for value in (pmf, oracle.crossing_pmf_by_double_sum(m), report, dist):
+        assert type(value.n) is int
+        json.dumps(value.to_json())
+    rate, beta = alpha_rate(UNKNOT_CLASS, m), beta_summary(m)
+    assert (rate, beta) == (alpha_rate(UNKNOT_CLASS, n), beta_summary(n))
+    assert all(type(f) in (int, float) for f in (*rate, *beta[:-1]))
 
 
 def test_unknot_probability_uses_empty_word_count():

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from billiardknots import sampler
+from billiardknots import sampler, words
 from billiardknots.distributions import BETA, crossing_pmf
 from billiardknots.sampler import sample_pmf, tv_distance
 from billiardknots.selfcheck import check_sampler_crossings
@@ -149,6 +151,15 @@ def test_count_seed_and_workers_must_be_integers():
     report = sample_pmf(30, 500, seed=np.uint64(1), workers=np.int64(2))
     assert report == sample_pmf(30, 500, seed=1, workers=2)
     assert type(report.seed) is int and type(report.workers) is int
+
+
+def test_one_walk_of_long_rows_matches_words_crossing_number():
+    # 100 workers draw 4 rows each, held and walked in place 344 and 56 rows
+    # at a time; the reference reduces each drawn row as a word
+    rows = np.concatenate(list(sampler._draws(12205, 400, 7, 100)))
+    texts = ("".join("01"[b] for b in row) for row in rows.tolist())
+    expected = Counter(map(words.crossing_number, texts))
+    assert sample_pmf(12205, 400, 7, 100).counts == expected
 
 
 def test_report_json():
