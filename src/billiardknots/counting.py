@@ -48,9 +48,8 @@ def _binomial_and_below(n: int, m: int) -> tuple[int, int]:
     one 30-bit digit each for n <= 32768.  Short and downward walks step
     once, by C(n, j+1) = C(n, j) * (n-j) / (j+1) or its inverse.  The knots
     at one length ask for a few m within 3 of each other, so after one
-    partial row pass each further m costs a few steps; a whole row asked
-    in order of m, as crossing_pmf asks it, steps once per entry.  A
-    length asked again after another length pays its pass again.
+    partial row pass each further m costs a few steps.  A length asked
+    again after another length pays its pass again.
 
     The anchor is one tuple, read and replaced whole, so an interleaved
     query starts from a true pair, never a mix of two.
@@ -114,8 +113,7 @@ def count_full(m: int, ell: int) -> int:
     which catches any transcription slip in the coefficients.  C(n, m)
     and the partial sum below it, n = 3*m + ell, are walked from the
     anchor (_binomial_and_below), so counts at one length with nearby m
-    share one partial row pass, and a whole row asked in order of m
-    steps once per entry.
+    share one partial row pass.
     """
     m, ell = check_count("m", m), check_count("ell", ell)
     binom, below = _binomial_and_below(3 * m + ell, m)

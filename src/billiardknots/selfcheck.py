@@ -141,7 +141,6 @@ def check_distribution(
     lengths = tuple(lengths)
     for n in lengths:
         terminals = oracle.tally_terminals(n)
-        pmf = distributions.crossing_pmf(n)
         for mode in modes:
             try:
                 dist = oracle.classify_terminals(n, terminals, mode)
@@ -152,6 +151,7 @@ def check_distribution(
                 if p != distributions.ExactProb(cnt, n):  # both out of 2**n words
                     detail = f"n={n} {mode} {canonical!r}: {p} != {cnt}/{dist.total}"
                     return False, detail
+            pmf = distributions.crossing_pmf(n)
             for c, cnt in dist.crossing_counts.items():
                 if pmf.counts.get(c) != cnt:
                     return False, f"n={n} c={c}: {pmf.counts.get(c)} != {cnt} words"
@@ -159,11 +159,15 @@ def check_distribution(
 
 
 def check_pmf_reference(max_n: int) -> Check:
-    """The Pascal-recurrence crossing pmf equals the reference double sum."""
+    """The crossing pmf from the recurrence in c equals the reference double
+    sum; a pmf whose run-time certificate fails is a failed check."""
     for n in range(max_n + 1):
         if n % 3 == 2:
             continue
-        fast = distributions.crossing_pmf(n).counts
+        try:
+            fast = distributions.crossing_pmf(n).counts
+        except AssertionError as exc:
+            return False, f"n={n}: AssertionError: {exc}"
         slow = oracle.crossing_pmf_by_double_sum(n).counts
         for c in sorted(fast.keys() | slow.keys()):
             if fast.get(c) != slow.get(c):
@@ -172,11 +176,16 @@ def check_pmf_reference(max_n: int) -> Check:
 
 
 def check_pmf_normalization(max_n: int) -> Check:
-    """Crossing pmf masses sum to exactly 1."""
+    """Crossing pmf masses sum to exactly 1; a pmf whose run-time
+    certificate fails is a failed check."""
     for n in range(1, max_n + 1):
         if n % 3 == 2:
             continue
-        if distributions.crossing_pmf(n).total() != 1:
+        try:
+            total = distributions.crossing_pmf(n).total()
+        except AssertionError as exc:
+            return False, f"n={n}: AssertionError: {exc}"
+        if total != 1:
             return False, f"n={n}"
     return True, f"n up to {max_n}"
 

@@ -472,6 +472,21 @@ def test_probabilities_load_fractions_only_for_exact_fraction_views():
     assert done.returncode == 0, done.stderr
 
 
+def test_the_recurrence_table_loads_only_for_pmfs_past_length_8():
+    script = textwrap.dedent("""
+        import sys
+        from billiardknots.cli import main
+        table = "billiardknots._crossing_recurrence"
+        assert main(["prob", "101", "--n", "301"]) == 0
+        assert main(["pmf", "--n", "7"]) == 0
+        assert table not in sys.modules
+        assert main(["pmf", "--n", "9"]) == 0
+        assert table in sys.modules
+    """)
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
 def test_sampler_import_leaves_the_counting_modules_unloaded():
     script = textwrap.dedent("""
         import sys

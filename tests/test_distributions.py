@@ -1,13 +1,14 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from billiardknots import counting, oracle, sampler, selfcheck
+from billiardknots import _crossing_recurrence, counting, oracle, sampler, selfcheck
 from billiardknots.counting import binomial, binomial_lt, count_full, count_internal
 from billiardknots.distributions import (
     BETA,
@@ -228,7 +229,7 @@ def test_crossing_pmf_normalizes_exactly():
 
 
 def test_crossing_pmf_matches_the_reference_double_sum():
-    ok, detail = selfcheck.check_pmf_reference(60)
+    ok, detail = selfcheck.check_pmf_reference(300)
     assert ok, detail
 
 
@@ -277,6 +278,110 @@ def test_unknot_count_corrected_external_weights():
         for e in range(1, m + 1):
             corrected += (2 * e + 1) * (binomial(n, m - e) - binomial_lt(n, m - e))
         assert corrected == count_full(m, 0), m
+
+
+# ---------------------------------------------------------------- recurrence table
+
+# sha256 of json.dumps(crossing_pmf(n).to_json()), recorded with the O(n**2)
+# row pass that the recurrence replaced; the CLI pins cover n = 1000 and 2002
+PMF_JSON_SHA256 = {
+    301: "0b62dd6d4ce4c46b2b48fe82d2d3efde30d7ec6ae61c0d10717f1fdc5bb5aef4",
+    445: "6dadc43c621127877cf26be3b3b63687697e3c80529624630a47f28a31bc1388",
+    649: "db26b158e8b9d23997b9d61324b3d0a88133b677ae5c5d6a6d43ffbbe3534ab0",
+    3001: "aedd5e0569013ef1149649204d514bdcb575d2e86ef791bcc7c362642c0c2740",
+    4000: "374ab3b803c57ad349870c78e4f234d7e2c9e0a2310fb4a1caa29209ac7114e4",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PMF_JSON_SHA256))
+def test_crossing_pmf_json_matches_the_row_pass(n):
+    text = json.dumps(crossing_pmf(n).to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == PMF_JSON_SHA256[n]
+
+
+@pytest.fixture(scope="module")
+def double_sums():
+    """The reference counts at every valid n <= 150, none from the recurrence."""
+    return {n: oracle.crossing_pmf_by_double_sum(n).counts
+            for n in range(151) if n % 3 != 2}
+
+
+def _in_c(n):
+    """Each p_i(n, c) of the table as its coefficients in c, lowest first."""
+    return [[sum(a * n**f for f, a in enumerate(row)) for row in p]
+            for p in _crossing_recurrence.P]
+
+
+def test_recurrence_table_annihilates_the_double_sum(double_sums):
+    for n, counts in double_sums.items():
+        polys = _in_c(n)
+        for c in range(3, n + 1):  # counts past n are 0
+            total = sum(sum(a * c**e for e, a in enumerate(p)) * counts.get(c + i, 0)
+                        for i, p in enumerate(polys))
+            assert total == 0, (n, c)
+
+
+def _nullspace_mod(rows, p):
+    """A basis of the vectors that rows annihilate mod the prime p < 2**31,
+    by Gauss-Jordan elimination; every product stays below 2**62."""
+    a = np.array(rows, dtype=np.int64)
+    pivots = []
+    for col in range(a.shape[1]):
+        r = len(pivots)
+        hits = np.flatnonzero(a[r:, col])
+        if r == a.shape[0] or not hits.size:
+            continue
+        a[[r, r + hits[0]]] = a[[r + hits[0], r]]
+        a[r] = a[r] * pow(int(a[r, col]), -1, p) % p
+        factors = a[:, col].copy()
+        factors[r] = 0
+        a = (a - factors[:, None] * a[r]) % p
+        pivots.append(col)
+    basis = []
+    for j in sorted(set(range(a.shape[1])) - set(pivots)):
+        v = np.zeros(a.shape[1], dtype=np.int64)
+        v[j] = 1
+        v[pivots] = -a[: len(pivots), j] % p
+        basis.append(v.tolist())
+    return basis
+
+
+def test_recurrence_table_is_the_one_solution_mod_a_prime(double_sums):
+    # re-guess: 441 unknowns, the coefficient of c**e * n**f in p_i with
+    # e <= 8 and f <= 6, against 480 random rows (n, c) from the double sum
+    p, rng = 2**31 - 1, random.Random(0)
+    lengths = [n for n in double_sums if n >= 60]
+    rows = []
+    for _ in range(480):
+        n = rng.choice(lengths)
+        c = rng.randint(3, n)
+        counts = double_sums[n]
+        rows.append([counts.get(c + i, 0) % p * pow(c, e, p) * pow(n, f, p) % p
+                     for i in range(7) for e in range(9) for f in range(7)])
+    (solution,) = _nullspace_mod(rows, p)
+    table = [row[f] if f < len(row) else 0
+             for poly in _crossing_recurrence.P for row in poly for f in range(7)]
+    j = next(k for k, x in enumerate(solution) if x)
+    scale = table[j] * pow(solution[j], -1, p) % p
+    assert scale
+    assert [t % p for t in table] == [scale * x % p for x in solution]
+
+
+def test_leading_coefficient_never_vanishes_below_n():
+    # p_0 = -6 (c - n)(c + n + 1) q(n, c), where q has no negative coefficient
+    # and q(0, 0) > 0, so p_0(n, c) != 0 for every 0 <= c < n
+    rows = [list(row) + [0] * (12 - len(row)) for row in _crossing_recurrence.P[0]]
+    quotient = []  # c**e coefficient rows of -6q, highest e first
+    for e in range(8, 1, -1):  # divide by c**2 + c - (n**2 + n)
+        top = rows[e]
+        assert top[10:] == [0, 0]  # so the shifts below drop no term
+        quotient.append(top)
+        rows[e - 1] = [x - t for x, t in zip(rows[e - 1], top)]
+        shifted = zip(rows[e - 2], [0, *top], [0, 0, *top])  # + top * (n + n**2)
+        rows[e - 2] = [x + t1 + t2 for x, t1, t2 in shifted]
+    assert rows[1] == rows[0] == [0] * 12
+    assert all(x % 6 == 0 and x <= 0 for row in quotient for x in row)
+    assert quotient[-1][0] < 0
 
 
 # ---------------------------------------------------------------- alpha rate

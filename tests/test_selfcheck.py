@@ -8,7 +8,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from billiardknots import counting, distributions, insertions, oracle, sampler, words
+from billiardknots import (
+    _crossing_recurrence,
+    counting,
+    distributions,
+    insertions,
+    oracle,
+    sampler,
+    words,
+)
 from billiardknots import selfcheck as sc
 from billiardknots.cli import main
 
@@ -19,7 +27,17 @@ count_internal = counting.count_internal
 knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
 orbit_halves = words._orbit_halves
 crossing_pmf = distributions.crossing_pmf
+classify_terminals = oracle.classify_terminals
+binomial = distributions.binomial
 external_moves = sampler._external_moves
+
+# the recurrence table with the constant term of p_3 one too high
+WRONG_TABLE = [[list(row) for row in p] for p in _crossing_recurrence.P]
+WRONG_TABLE[3][0][0] += 1
+
+
+def _one_more_empty_choice(n, k):  # C(., 0) one too high, so every top count wrong
+    return binomial(n, k) + (k == 0)
 
 
 def _bump_binomial_at_3(n, m):  # C(n, 3) one too high, the partial sum right
@@ -45,6 +63,16 @@ def _move_a_word_from_3_to_4(n):  # the total, and so the unknot, stays right
     counts[3] -= 1
     counts[4] += 1
     return distributions.CrossingPmf(n, counts)
+
+
+def _move_a_mirror_word_from_3_to_4(n, terminals, mode):  # the classes stay right
+    dist = classify_terminals(n, terminals, mode)
+    if mode != words.MIRROR_IDENTIFIED:
+        return dist
+    crossing = dict(dist.crossing_counts)
+    crossing[3] -= 1
+    crossing[4] = crossing.get(4, 0) + 1
+    return dist._replace(crossing_counts=crossing)
 
 
 def _orbit_without_resized_forms(w, mode):  # only the terminal's own length
@@ -111,12 +139,23 @@ PLANTED = [
     # knot_probability is right, so only the per-crossing-number line can see it
     pytest.param(sc.check_distribution, ((4,),), distributions, "crossing_pmf",
                  _move_a_word_from_3_to_4, id="check_distribution-crossing_pmf"),
+    # only the first of the default modes tallies a wrong histogram: every mode's
+    # histogram is compared with the pmf, not just the last one's
+    pytest.param(sc.check_distribution, ((4,),), oracle, "classify_terminals",
+                 _move_a_mirror_word_from_3_to_4,
+                 id="check_distribution-mirror_crossing_histogram"),
     pytest.param(sc.check_pmf_normalization, (7,), distributions, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_normalization-count_full"),
     pytest.param(sc.check_pmf_reference, (13,), distributions, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_pmf_reference-count_full"),
+    # the pmf's run-time certificate raises, and each check reports a failure
+    pytest.param(sc.check_pmf_reference, (13,), _crossing_recurrence, "P", WRONG_TABLE,
+                 id="check_pmf_reference-recurrence_table"),
+    # C(c-2, 0) one too high: the top count at c = n and the j = 1 term at c = n-3
+    pytest.param(sc.check_pmf_normalization, (7,), distributions, "binomial",
+                 _one_more_empty_choice, id="check_pmf_normalization-top_value"),
     pytest.param(sc.check_sampler_crossings, (6,), sampler, "_external_moves",
                  _prefix_moves_only, id="check_sampler_crossings-external_moves"),
     pytest.param(sc.check_class_invariance, (2,), words, "knot_class",
@@ -138,6 +177,24 @@ PLANTED = [
                  lambda knot, n: SimpleNamespace(gap=n / 1000),
                  id="check_alpha_gap-alpha_rate"),
 ]
+
+
+def test_the_wrong_table_fails_the_pmf_certificate_at_a_division(monkeypatch):
+    monkeypatch.setattr(_crossing_recurrence, "P", WRONG_TABLE)
+    assert crossing_pmf(7) == oracle.crossing_pmf_by_double_sum(7)  # no step below 9
+    for n in (9, 301):
+        with pytest.raises(AssertionError, match=f"crossing_pmf[(]{n}[)]: division at c="):
+            crossing_pmf(n)
+
+
+def test_a_wrong_top_count_fails_the_pmf_certificate(monkeypatch):
+    # below n = 9 there is no division, so the total catches it, and past it
+    # the first division already fails
+    monkeypatch.setattr(distributions, "binomial", _one_more_empty_choice)
+    for n, what in ((3, "the counts do not sum"), (7, "the counts do not sum"),
+                    (301, "division at c=295 leaves")):
+        with pytest.raises(AssertionError, match=f"crossing_pmf[(]{n}[)]: {what}"):
+            crossing_pmf(n)
 
 
 @pytest.mark.parametrize("check,args,module,name,wrong", PLANTED)
