@@ -9,8 +9,6 @@ trajectory closes to a knot).
 from __future__ import annotations
 
 import math
-from collections import deque
-from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .counting import binomial, count_full
@@ -144,7 +142,9 @@ def crossing_pmf(n: int) -> CrossingPmf:
     count_full(j, n-3j); oracle keeps this double sum as the reference.
     For c >= n-5 only j = 0 and 1 contribute, so the top six counts need
     F[1] alone.  Below them the counts follow the order-6 recurrence in c
-    of _crossing_recurrence, evaluated downward in O(n) big-integer steps.
+    of _crossing_recurrence, evaluated downward in O(n) big-integer steps:
+    each multiplies counts[c+1..c+6], kept in six locals, by p_1..p_6 at c
+    from the coefficient streams and divides the sum exactly by p_0.
 
     The recurrence is guessed, not proved.  The counts are holonomic
     (binomial-weighted sums of D-finite terms are D-finite: Stanley, 1980),
@@ -166,17 +166,15 @@ def crossing_pmf(n: int) -> CrossingPmf:
     down = [2 * (binomial(c - 2, n - c) + f1 * binomial(c - 2, n - c - 3))
             for c in range(n, max(3, n - 5) - 1, -1)]  # counts[n], counts[n-1], ...
     if n >= 9:
-        from ._crossing_recurrence import step_table
+        from ._crossing_recurrence import coefficient_streams as streams
 
-        tbl = step_table(n)  # p_i(n, c) is tbl[i]
-        above = deque(reversed(down), 6)  # counts[c+1], ..., counts[c+6]
-        for c in range(n - 6, 2, -1):
-            k, r = divmod(-sum(map(mul, tbl[1:7], above)), tbl[0])
+        x1, x2, x3, x4, x5, x6 = reversed(down)  # counts[c+1], ..., counts[c+6]
+        for c, p0, p1, p2, p3, p4, p5, p6 in zip(range(n - 6, 2, -1), *streams(n)):
+            k, r = divmod(-(p1 * x1 + p2 * x2 + p3 * x3 + p4 * x4 + p5 * x5 + p6 * x6), p0)
             if r:
                 raise AssertionError(f"crossing_pmf({n}): division at c={c} leaves {r}")
             down.append(k)
-            above.appendleft(k)
-            tbl[:56] = map(add, tbl, tbl[7:])  # on to c - 1
+            x1, x2, x3, x4, x5, x6 = k, x1, x2, x3, x4, x5
     counts.update(zip(range(3, n + 1), reversed(down)))
     if sum(counts.values()) != 1 << n:
         raise AssertionError(f"crossing_pmf({n}): the counts do not sum to 2**{n}")

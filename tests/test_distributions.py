@@ -147,7 +147,8 @@ def test_knot_probability_does_not_depend_on_query_order():
     forward, warm = {}, {}
     for i, (n, k) in enumerate(queries):
         forward[n, k.canonical] = knot_probability(k, n)
-        if i % 26 == 12 and n < 3009:  # a whole row walks the anchor mid-length
+        if i % 26 == 12 and n < 3009:  # walk the anchor mid-row, then to n // 3 and 1
+            binomial_lt(n, n // 2)
             warm[n] = crossing_pmf(n)
     backward = {(n, k.canonical): knot_probability(k, n) for n, k in reversed(queries)}
     fresh = {}
@@ -319,6 +320,14 @@ def test_recurrence_table_annihilates_the_double_sum(double_sums):
             total = sum(sum(a * c**e for e, a in enumerate(p)) * counts.get(c + i, 0)
                         for i, p in enumerate(polys))
             assert total == 0, (n, c)
+
+
+@pytest.mark.parametrize("n", [9, 10, 18, 301, 4000])
+def test_coefficient_streams_equal_the_table_at_every_step(n):
+    polys = _in_c(n)
+    steps = zip(range(n - 6, 2, -1), *_crossing_recurrence.coefficient_streams(n))
+    for c, *values in steps:
+        assert values == [sum(a * c**e for e, a in enumerate(p)) for p in polys], (n, c)
 
 
 def _nullspace_mod(rows, p):

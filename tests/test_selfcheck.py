@@ -4,6 +4,9 @@ The acceptance suite and the unit tests assert on these checks, so a check
 that always passed would hide every fault.
 """
 
+from itertools import count
+from math import comb
+from operator import add
 from types import SimpleNamespace
 
 import pytest
@@ -30,10 +33,19 @@ crossing_pmf = distributions.crossing_pmf
 classify_terminals = oracle.classify_terminals
 binomial = distributions.binomial
 external_moves = sampler._external_moves
+coefficient_streams = _crossing_recurrence.coefficient_streams
 
 # the recurrence table with the constant term of p_3 one too high
 WRONG_TABLE = [[list(row) for row in p] for p in _crossing_recurrence.P]
 WRONG_TABLE[3][0][0] += 1
+
+
+def _top_difference_of_p3_one_too_high(n):
+    # p_3's constant 8th difference one too high adds C(j, 8) to p_3 at step j,
+    # so nothing changes before c = n - 14 and the pmf is right up to n = 16
+    streams = coefficient_streams(n)
+    streams[3] = map(add, streams[3], (comb(j, 8) for j in count()))
+    return streams
 
 
 def _one_more_empty_choice(n, k):  # C(., 0) one too high, so every top count wrong
@@ -153,6 +165,10 @@ PLANTED = [
     # the pmf's run-time certificate raises, and each check reports a failure
     pytest.param(sc.check_pmf_reference, (13,), _crossing_recurrence, "P", WRONG_TABLE,
                  id="check_pmf_reference-recurrence_table"),
+    # no step reaches the wrong difference below n = 18, so sizes 13 and 7 miss it
+    pytest.param(sc.check_pmf_reference, (20,), _crossing_recurrence,
+                 "coefficient_streams", _top_difference_of_p3_one_too_high,
+                 id="check_pmf_reference-top_difference"),
     # C(c-2, 0) one too high: the top count at c = n and the j = 1 term at c = n-3
     pytest.param(sc.check_pmf_normalization, (7,), distributions, "binomial",
                  _one_more_empty_choice, id="check_pmf_normalization-top_value"),
@@ -185,6 +201,15 @@ def test_the_wrong_table_fails_the_pmf_certificate_at_a_division(monkeypatch):
     for n in (9, 301):
         with pytest.raises(AssertionError, match=f"crossing_pmf[(]{n}[)]: division at c="):
             crossing_pmf(n)
+
+
+def test_a_wrong_top_difference_shows_only_past_length_17(monkeypatch):
+    monkeypatch.setattr(_crossing_recurrence, "coefficient_streams",
+                        _top_difference_of_p3_one_too_high)
+    for n in (9, 10, 12, 13, 15, 16):
+        assert crossing_pmf(n) == oracle.crossing_pmf_by_double_sum(n)
+    with pytest.raises(AssertionError, match="crossing_pmf[(]18[)]: division at c=4 "):
+        crossing_pmf(18)
 
 
 def test_a_wrong_top_count_fails_the_pmf_certificate(monkeypatch):
