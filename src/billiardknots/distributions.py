@@ -43,7 +43,8 @@ class ExactProb(_ExactProbFields):
     def __new__(cls, numerator: int, exponent: int):
         numerator = check_count("numerator", numerator)
         exponent = check_count("exponent", exponent)
-        if numerator > (1 << exponent):
+        # 2**exponent is built only for a numerator at least as large
+        if numerator.bit_length() > exponent and numerator != 1 << exponent:
             raise ValueError("probability above 1")
         return super().__new__(cls, numerator, exponent)
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -68,6 +69,33 @@ def test_exact_prob_replace_validates():
     assert p._replace(numerator=4) == ExactProb(4, 2)
     with pytest.raises(ValueError, match="above 1"):
         p._replace(numerator=5)
+
+
+@pytest.mark.parametrize("exponent", [0, 1, 5, 64])
+def test_exact_prob_bound_is_two_to_the_exponent(exponent):
+    top = 1 << exponent
+    for numerator in (0, 1, top - 1, top, top + 1):
+        if numerator <= top:
+            assert ExactProb(numerator, exponent) == (numerator, exponent)
+            assert ExactProb(0, exponent)._replace(numerator=numerator) == (
+                numerator, exponent)
+        else:
+            with pytest.raises(ValueError, match="above 1"):
+                ExactProb(numerator, exponent)
+            with pytest.raises(ValueError, match="above 1"):
+                ExactProb(0, exponent)._replace(numerator=numerator)
+
+
+def test_exact_prob_bound_does_not_build_the_denominator():
+    # 2**(2**26) alone would take 8 MiB
+    tracemalloc.start()
+    try:
+        ExactProb(0, 2**26)
+        ExactProb(1, 2**26)._replace(numerator=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_value_objects_are_immutable():
@@ -324,6 +352,15 @@ def test_recurrence_table_annihilates_the_double_sum(double_sums):
 
 @pytest.mark.parametrize("n", [9, 10, 18, 301, 4000])
 def test_coefficient_streams_equal_the_table_at_every_step(n):
+    polys = _in_c(n)
+    steps = zip(range(n - 6, 2, -1), *_crossing_recurrence.coefficient_streams(n))
+    for c, *values in steps:
+        assert values == [sum(a * c**e for e, a in enumerate(p)) for p in polys], (n, c)
+
+
+@pytest.mark.parametrize("n", [n for n in range(9, 61) if n % 3 != 2])
+def test_coefficient_streams_equal_the_table_at_every_short_length(n):
+    # selfcheck builds its pmfs at these lengths, where few steps are taken
     polys = _in_c(n)
     steps = zip(range(n - 6, 2, -1), *_crossing_recurrence.coefficient_streams(n))
     for c, *values in steps:
