@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .words import (
     MIRROR_IDENTIFIED,
+    PREFIX_TRIPLES,
+    SUFFIX_TRIPLES,
     UNKNOT_CLASS,
     KnotClass,
     ResourceGuardError,  # re-exported: callers catch the guards from here
@@ -69,16 +71,22 @@ def reduce_by_moves(w: Word) -> Word:
     """Reference reduction: delete one triple at a time until no move is left.
 
     Each step applies the leftmost internal move if one exists, then the
-    prefix move, then the suffix move.  Quadratic in len(w); words.reduce
-    and words.reduce_runs must reach the same terminal.
+    prefix move, then the suffix move: the first of words.available_moves,
+    found by str.find and the two end triples.  Quadratic in len(w);
+    words.reduce and words.reduce_runs must reach the same terminal.
     """
     check_word(w)
     while True:
-        moves = available_moves(w)
-        if not moves:
+        i, j = w.find("000"), w.find("111")
+        if i >= 0 or j >= 0:
+            i = j if i < 0 or 0 <= j < i else i
+            w = w[:i] + w[i + 3 :]
+        elif w[:3] in PREFIX_TRIPLES:
+            w = w[3:]
+        elif w[-3:] in SUFFIX_TRIPLES:
+            w = w[:-3]
+        else:
             return w
-        i = moves[0].position - 1
-        w = w[:i] + w[i + 3 :]
 
 
 def crossing_pmf_by_double_sum(n: int) -> CrossingPmf:

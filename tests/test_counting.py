@@ -173,6 +173,20 @@ def test_count_full_examples():
     assert len(enumerate_insertions("101", 1, ALL)) == 9
 
 
+def test_count_full_rejects_an_odd_doubled_value(monkeypatch):
+    # C(4, 1) one too high: a = 9 is odd, so a * C(n, m) and the doubled value are odd
+    true_pair = counting._binomial_and_below
+
+    def binomial_one_too_high(n, m):
+        binom, below = true_pair(n, m)
+        return binom + 1, below
+
+    monkeypatch.setattr(counting, "_binomial_and_below", binomial_one_too_high)
+    odd = r"^count_full\(1, 1\): doubled value 23 is odd$"
+    with pytest.raises(AssertionError, match=odd):
+        count_full(1, 1)
+
+
 def test_count_full_matches_enumeration_small():
     bases = (*reduced_words_of_length(3), *reduced_words_of_length(4))
     ok, detail = selfcheck.check_insertion_counts(2, bases)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -12,9 +13,16 @@ from billiardknots.oracle import (
     classify_terminals,
     enumerate_insertions,
     exact_distribution,
+    reduce_by_moves,
     tally_terminals,
 )
-from billiardknots.words import CHIRAL, MIRROR_IDENTIFIED, knot_class, reduce
+from billiardknots.words import (
+    CHIRAL,
+    MIRROR_IDENTIFIED,
+    available_moves,
+    knot_class,
+    reduce,
+)
 
 
 # ---------------------------------------------------------------- exact distribution
@@ -119,6 +127,23 @@ def test_every_insertion_keeps_the_knot():
 
 
 # ---------------------------------------------------------------- reduction orders
+
+def _reduce_by_first_available_move(w):
+    # the definition: apply the first move available_moves lists until none is left
+    while moves := available_moves(w):
+        i = moves[0].position - 1
+        w = w[:i] + w[i + 3 :]
+    return w
+
+
+def test_reduce_by_moves_takes_the_first_available_move():
+    every_word = (w for n in range(15) for w in all_words(n))
+    rng = random.Random(14)
+    long_words = ("".join(rng.choices("01", k=n))
+                  for n in (50, 300, 1000) for _ in range(5))
+    for w in (*every_word, *long_words):
+        assert reduce_by_moves(w) == _reduce_by_first_available_move(w), w
+
 
 def test_all_terminal_words_examples():
     assert all_terminal_words("0011") == {"0", "1"}

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import numpy as np
@@ -195,6 +196,42 @@ stacked_words = st.lists(
     st.sampled_from(["".join(t) for t in product("01", repeat=3)] + ["0", "1"]),
     max_size=150,
 ).map("".join)
+
+
+def _nested_word(k):
+    # 000 wrapped k times as c + word + cc, c alternating 1, 0, 1, ...: the
+    # 3k + 3 letters reduce to "", and each str.replace pass deletes one triple
+    prefix = "".join("10"[i % 2] for i in range(k))
+    return prefix[::-1] + "000" + "".join(c + c for c in prefix)
+
+
+def _reduce_on_a_plain_stack(w):
+    stack = []
+    for ch in w:
+        stack.append(ch)
+        if stack[-3:] == [ch] * 3:
+            del stack[-3:]
+    start, end = 0, len(stack)
+    while end - start >= 3 and stack[start] == stack[start + 1]:
+        start += 3
+    while end - start >= 3 and stack[end - 1] == stack[end - 2]:
+        end -= 3
+    return "".join(stack[start:end])
+
+
+def test_reduce_stays_linear_on_nested_words():
+    # repeating the replace pass until nothing changed would take ~50 000 passes here
+    w = _nested_word(100_000)
+    assert len(w) == 300_003
+    assert w.replace("000", "").replace("111", "") == _nested_word(99_998)
+    start = time.perf_counter()
+    t = reduce(w)
+    elapsed = time.perf_counter() - start
+    assert t == _reduce_on_a_plain_stack(w) == ""
+    assert elapsed < 5.0, f"reduce took {elapsed:.2f} s on {len(w)} nested letters"
+    for k in range(30):
+        u = "0" + _nested_word(k) + "1"
+        assert reduce(u) == _reduce_on_a_plain_stack(u) == reduce_by_moves(u)
 
 
 @given(stacked_words)
