@@ -37,9 +37,11 @@ _set_digit_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 # exact pmf is cheap enough below this length to compute alongside a sample
 _SAMPLE_EXACT_LIMIT = 60
-# each drawing worker builds its own Philox generator, about 28 us on a
-# 2-vCPU machine: the time sample_pmf takes to draw and reduce some 1500
-# letters at n = 300 (18.5 ns a letter)
+# each drawing worker builds its own Philox generator and draws its own
+# batches, about 19 us on a 2-vCPU machine: the time sample_pmf takes to
+# draw and reduce some 2100 letters at n = 300 (8.8 ns a letter); the
+# charge was set when a letter cost 18.5 ns and is kept while that
+# equivalent stays within 2x of it
 _SAMPLE_WORKER_LETTERS = 1500
 
 

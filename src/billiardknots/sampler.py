@@ -5,12 +5,22 @@ per worker keyed by (seed, worker index).  Reports are therefore a pure
 function of (n, count, seed, workers) and merging worker histograms is
 order-independent.
 
+A batch of letters is the top bit of each byte of raw 32-bit Philox
+words, low byte first.  That is bit for bit what
+Generator.integers(0, 2, dtype=np.uint8) returns: it takes the bytes of
+the same words in the same order and keeps (byte * 2) >> 8, Lemire's
+bounded method with range 2, which rejects no byte since (255 - 1) mod 2
+is 0.  The raw words skip numpy's per-byte loop.
+
 The drawn words are reduced in lockstep: row_crossings walks the n letter
 columns once over a block of up to 4096 words with numpy, each word
 keeping its stack of run lengths in its own letter cells, so the Python
-loop runs n times per block, not once per letter of every word.  On a
-2-vCPU machine sample_pmf draws and reduces about 1.3 million words/s at
-n = 30 and 145 thousand at n = 300.
+loop runs n times per block, not once per letter of every word.  The
+columns are read from contiguous slabs of _SLAB columns, each copied just
+before the walk reaches it: after j0 columns a stack holds at most j0
+runs, so no stack has yet written over a copied column.  On a 2-vCPU
+machine sample_pmf draws and reduces about 2.6 million words/s at n = 30
+and 255 thousand at n = 300.
 """
 
 from __future__ import annotations
@@ -29,6 +39,9 @@ if TYPE_CHECKING:  # distributions loads only where a caller builds the exact pm
 _BATCH = 4096
 # draws of fewer letters than this are held and walked together
 _BLOCK_CELLS = 1 << 22
+# row_crossings reads this many letter columns at a time from a C-ordered
+# copy: the smallest of 32, 64, 128 and 256 within 2% of the fastest
+_SLAB = 32
 
 
 class SampleReport(NamedTuple):
@@ -74,25 +87,33 @@ def row_crossings(rows: np.ndarray) -> np.ndarray:
     moves trim both ends.  After column j a row's stack holds at most j + 1
     runs, so it lives in the row's own cells, over letters already read:
     C-ordered, writeable uint8 rows are overwritten, other rows are copied.
+    The letters are read from a C-ordered copy of the next _SLAB columns,
+    made when the walk reaches them: after j0 columns a stack holds at most
+    j0 runs, so it has not touched column j0 yet.  The copy costs rows x
+    _SLAB bytes, reused from slab to slab.
     """
     batch, n = rows.shape
-    stack = np.require(rows, np.uint8, ["C", "W"]).reshape(-1)  # row r: r*n .. r*n+n-1
+    cells = np.require(rows, np.uint8, ["C", "W"])
+    stack = cells.reshape(-1)  # row r: r*n .. r*n+n-1
     base = np.arange(batch, dtype=np.intp) * n
     top = base - 1  # each row's top cell; below base when its stack is empty
     bit = np.zeros(batch, dtype=np.uint8)  # the letter of each top run
     same = np.empty(batch, dtype=bool)
-    for j in range(n):
-        letter = rows[:, j]
-        np.equal(letter, bit, out=same)
-        same &= top >= base
-        top += ~same  # a new run starts one cell up
-        length = stack[top]
-        length *= same
-        length += 1
-        full = length == 3
-        np.bitwise_xor(letter, full, out=bit)  # the runs below alternate
-        stack[top] = length  # may land on column j, so letter is read first
-        top -= full
+    slab = np.empty((min(n, _SLAB), batch), dtype=np.uint8)  # columns, C-ordered
+    for j0 in range(0, n, _SLAB):
+        letters = slab[: min(_SLAB, n - j0)]
+        np.copyto(letters, cells[:, j0:j0 + len(letters)].T)
+        for letter in letters:
+            np.equal(letter, bit, out=same)
+            same &= top >= base
+            top += ~same  # a new run starts one cell up
+            length = stack[top]
+            length *= same
+            length += 1
+            full = length == 3
+            np.bitwise_xor(letter, full, out=bit)  # the runs below alternate
+            stack[top] = length
+            top -= full
     first, last = base.copy(), top
     _external_moves(stack, first, last, 1)
     _external_moves(stack, first, last, -1)
@@ -126,6 +147,9 @@ def _draws(n: int, count: int, seed: int, workers: int):
 
     Worker w draws its quota from its own substream, in batches of at most
     _BATCH rows; earlier workers take the remainder of count / workers.
+    Each batch is the top bit of each byte of ceil(rows * n / 4) raw 32-bit
+    words, which equals rng.integers(0, 2, size=(rows, n), dtype=np.uint8)
+    (see the module docstring).
     """
     base, extra = divmod(count, workers)
     for worker in range(min(workers, count)):  # the others draw nothing
@@ -133,7 +157,10 @@ def _draws(n: int, count: int, seed: int, workers: int):
         remaining = base + (worker < extra)
         while remaining:
             batch = min(_BATCH, remaining)
-            yield rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
+            raw = rng.integers(0, 1 << 32, size=-(-batch * n // 4), dtype=np.uint32)
+            letters = raw.astype("<u4", copy=False).view(np.uint8)[: batch * n]
+            letters >>= 7
+            yield letters.reshape(batch, n)
             remaining -= batch
 
 

@@ -37,8 +37,10 @@ def check_reduce_engines(max_n: int) -> Check:
 def check_sampler_crossings(max_n: int) -> Check:
     """The sampler's lockstep batch reduction gives words.crossing_number on
     every word up to length max_n, on 100 random words of each length up to 60
-    from seed 0, and on 3001-letter rows as uint8 and bool: alternating (each
-    push lands on the column just read), 000111... (each third pops), random."""
+    from seed 0, and on 3001-letter rows as uint8 and bool: alternating (it
+    pushes on every letter, so when the slab from column j0 is copied its
+    stack fills columns 0 .. j0 - 1 and its next push lands on column j0),
+    000111... (each third pops), random."""
     import numpy as np  # only the sampler and its check load numpy
 
     from . import sampler

@@ -59,6 +59,10 @@ PINNED = {
         101: 4, 102: 1, 103: 1, 104: 1, 106: 1, 107: 2, 108: 1, 109: 1,
         127: 1,
     },
+    # recorded before letters came from raw 32-bit words: the workers draw
+    # 3 and 2 rows, so 90003 and 60002 letters (3 and 2 mod 4), and 30001
+    # columns are not a whole number of slabs
+    (30001, 5, 11, 2): {9145: 1, 9160: 1, 9299: 1, 9312: 1, 9316: 1},
 }
 
 
@@ -160,6 +164,31 @@ def test_one_walk_of_long_rows_matches_words_crossing_number():
     texts = ("".join("01"[b] for b in row) for row in rows.tolist())
     expected = Counter(map(words.crossing_number, texts))
     assert sample_pmf(12205, 400, 7, 100).counts == expected
+
+
+# n = 0; one row of 1 letter; 4096-row batches (rows * n = 0 mod 4) ending
+# in 2 and 1 rows of 3 letters (2 and 3 mod 4), 2 workers; three batches,
+# the last 809 rows of 5 letters (1 mod 4)
+@pytest.mark.parametrize(
+    "n, count, seed, workers", [(0, 5, 1, 2), (1, 1, 2, 1), (3, 16387, 3, 2), (5, 9001, 4, 1)]
+)
+def test_draws_equal_numpys_bounded_uint8_stream(n, count, seed, workers):
+    # _draws keeps the top bit of each byte of raw 32-bit words; a numpy
+    # release that changes how integers(0, 2, dtype=np.uint8) uses those
+    # words, or how many it takes, fails here before any pinned report does
+    expected = []
+    base, extra = divmod(count, workers)
+    for worker in range(workers):
+        rng = sampler._substream(seed, worker)
+        quota = base + (worker < extra)
+        for start in range(0, quota, sampler._BATCH):
+            rows = min(sampler._BATCH, quota - start)
+            expected.append(rng.integers(0, 2, size=(rows, n), dtype=np.uint8))
+    drawn = list(sampler._draws(n, count, seed, workers))
+    assert [a.shape for a in drawn] == [a.shape for a in expected]
+    for got, want in zip(drawn, expected):
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
 
 
 def test_report_json():
