@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .counting import binomial, count_full
+from .counting import count_full
 from .words import UNKNOT_CLASS, KnotClass, check_count, check_length
 
 if TYPE_CHECKING:  # fractions loads only for the exact-fraction views
@@ -141,11 +141,11 @@ def crossing_pmf(n: int) -> CrossingPmf:
     of length n, and the two starting bits double the sum, so
     counts[c] = 2 * sum_j F[j] * C(c-2, n-c-3j) with F[j] =
     count_full(j, n-3j); oracle keeps this double sum as the reference.
-    For c >= n-5 only j = 0 and 1 contribute, so the top six counts need
-    F[1] alone.  Below them the counts follow the order-6 recurrence in c
-    of _crossing_recurrence, evaluated downward in O(n) big-integer steps:
-    each multiplies counts[c+1..c+6], kept in six locals, by p_1..p_6 at c
-    from the coefficient streams and divides the sum exactly by p_0.
+    Here the order-6 recurrence in c of _crossing_recurrence gives the
+    counts instead, in O(n) big-integer steps down from counts[n] = 2 (the
+    two alternating words) and counts[n+1..n+5] = 0: each step, from
+    c = n - 1 on, multiplies counts[c+1..c+6], kept in six locals, by
+    p_1..p_6 from the coefficient streams and divides the sum by p_0.
 
     The recurrence is guessed, not proved.  The counts are holonomic
     (binomial-weighted sums of D-finite terms are D-finite: Stanley, 1980),
@@ -154,28 +154,27 @@ def crossing_pmf(n: int) -> CrossingPmf:
     of 50 valid n in 120..400; Gaussian elimination mod ten primes below
     2**31, each leaving a nullspace of dimension 1; then CRT and rational
     reconstruction.  It was checked exactly at every c for every valid
-    n <= 400, and the tests re-derive its nullspace mod a prime and compare
-    it with the double sum.  p_0 = -6(c - n)(c + n + 1)q(n, c), where every
-    coefficient of q is positive, so p_0 != 0 for 0 <= c < n and no step
+    n <= 400.  The tests re-derive its nullspace mod a prime, compare the
+    walk with the double sum, and its top six counts (j <= 1) with math.comb
+    up to n = 4000.  p_0 = -6(c - n)(c + n + 1)q(n, c), where every
+    coefficient of q is positive, so on 0 <= c <= n it vanishes at c = n
+    alone: counts[n] is the recurrence's one free value, and no step
     divides by zero.  Each call certifies itself, as count_full does: every
     division must be exact and the counts, the unknot's included, must sum
     to exactly 2**n, else AssertionError.
     """
     n = check_length(n)
-    counts = {0: knot_probability(UNKNOT_CLASS, n).numerator}
-    f1 = count_full(1, n - 3) if n >= 3 else 0
-    down = [2 * (binomial(c - 2, n - c) + f1 * binomial(c - 2, n - c - 3))
-            for c in range(n, max(3, n - 5) - 1, -1)]  # counts[n], counts[n-1], ...
-    if n >= 9:
-        from ._crossing_recurrence import coefficient_streams as streams
+    from ._crossing_recurrence import coefficient_streams as streams
 
-        x1, x2, x3, x4, x5, x6 = reversed(down)  # counts[c+1], ..., counts[c+6]
-        for c, p0, p1, p2, p3, p4, p5, p6 in zip(range(n - 6, 2, -1), *streams(n)):
-            k, r = divmod(-(p1 * x1 + p2 * x2 + p3 * x3 + p4 * x4 + p5 * x5 + p6 * x6), p0)
-            if r:
-                raise AssertionError(f"crossing_pmf({n}): division at c={c} leaves {r}")
-            down.append(k)
-            x1, x2, x3, x4, x5, x6 = k, x1, x2, x3, x4, x5
+    counts = {0: knot_probability(UNKNOT_CLASS, n).numerator}
+    down = [2]  # counts[n], counts[n-1], ...; below n = 3 the zip keeps none
+    x1, x2, x3, x4, x5, x6 = 2, 0, 0, 0, 0, 0  # counts[c+1], ..., counts[c+6]
+    for c, p0, p1, p2, p3, p4, p5, p6 in zip(range(n - 1, 2, -1), *streams(n)):
+        k, r = divmod(-(p1 * x1 + p2 * x2 + p3 * x3 + p4 * x4 + p5 * x5 + p6 * x6), p0)
+        if r:
+            raise AssertionError(f"crossing_pmf({n}): division at c={c} leaves {r}")
+        down.append(k)
+        x1, x2, x3, x4, x5, x6 = k, x1, x2, x3, x4, x5
     counts.update(zip(range(3, n + 1), reversed(down)))
     if sum(counts.values()) != 1 << n:
         raise AssertionError(f"crossing_pmf({n}): the counts do not sum to 2**{n}")

@@ -58,6 +58,8 @@ def test_class_command(capsys):
     assert data["canonical"] == "010" and data["r"] == 2
     code, out, _ = run(capsys, "class", "101", "--chiral", "--format", "json")
     assert json.loads(out)["canonical"] == "101"
+    code, out, _ = run(capsys, "class", "000")  # no pin runs an unknot word
+    assert out == "canonical (empty)  ell0=0 ell1=1 r=1 c=0  [unknot]\n"
 
 
 def test_prob_command(capsys):
@@ -472,15 +474,14 @@ def test_probabilities_load_fractions_only_for_exact_fraction_views():
     assert done.returncode == 0, done.stderr
 
 
-def test_the_recurrence_table_loads_only_for_pmfs_past_length_8():
+def test_the_recurrence_table_loads_for_every_pmf_but_not_for_prob():
     script = textwrap.dedent("""
         import sys
         from billiardknots.cli import main
         table = "billiardknots._crossing_recurrence"
         assert main(["prob", "101", "--n", "301"]) == 0
-        assert main(["pmf", "--n", "7"]) == 0
         assert table not in sys.modules
-        assert main(["pmf", "--n", "9"]) == 0
+        assert main(["pmf", "--n", "3"]) == 0  # no step is taken at n = 3
         assert table in sys.modules
     """)
     done = run_python("-c", script)

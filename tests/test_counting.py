@@ -171,6 +171,9 @@ def test_count_full_examples():
     assert count_full(1, 0) == 6
     assert enumerate_insertions("", 1, ALL) == {"000", "111", "001", "110", "011", "100"}
     assert len(enumerate_insertions("101", 1, ALL)) == 9
+    # the weight n + 3 = count_full(1, n - 3) of the pmf's closed-form top counts
+    for ell in range(5000):
+        assert count_full(1, ell) == ell + 6, ell
 
 
 def test_count_full_rejects_an_odd_doubled_value(monkeypatch):

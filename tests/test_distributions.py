@@ -12,6 +12,7 @@ import pytest
 from billiardknots import _crossing_recurrence, counting, oracle, sampler, selfcheck
 from billiardknots.counting import binomial, binomial_lt, count_full, count_internal
 from billiardknots.distributions import (
+    ALPHA,
     BETA,
     LOG2_ALPHA,
     X0,
@@ -262,6 +263,21 @@ def test_crossing_pmf_matches_the_reference_double_sum():
     assert ok, detail
 
 
+def _choose(a, k):
+    return math.comb(a, k) if 0 <= k <= a else 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 10, 301, 1000, 3001, 4000])
+def test_top_six_counts_match_their_closed_form(n):
+    # at c >= n - 5 a word reduces by no triple (C(c-2, n-c) run patterns) or
+    # by one, inserted in one of n + 3 ways; both starting bits double it.
+    # math.comb alone, with neither counting nor the recurrence
+    counts = crossing_pmf(n).counts
+    for c in range(max(3, n - 5), n + 1):
+        top = 2 * (_choose(c - 2, n - c) + (n + 3) * _choose(c - 2, n - c - 3))
+        assert counts[c] == top, c
+
+
 def test_crossing_pmf_support():
     pmf = crossing_pmf(13)
     assert set(pmf.masses) == set(range(3, 14))
@@ -353,16 +369,16 @@ def test_recurrence_table_annihilates_the_double_sum(double_sums):
 @pytest.mark.parametrize("n", [9, 10, 18, 301, 4000])
 def test_coefficient_streams_equal_the_table_at_every_step(n):
     polys = _in_c(n)
-    steps = zip(range(n - 6, 2, -1), *_crossing_recurrence.coefficient_streams(n))
+    steps = zip(range(n - 1, 2, -1), *_crossing_recurrence.coefficient_streams(n))
     for c, *values in steps:
         assert values == [sum(a * c**e for e, a in enumerate(p)) for p in polys], (n, c)
 
 
-@pytest.mark.parametrize("n", [n for n in range(9, 61) if n % 3 != 2])
+@pytest.mark.parametrize("n", [n for n in range(4, 61) if n % 3 != 2])
 def test_coefficient_streams_equal_the_table_at_every_short_length(n):
     # selfcheck builds its pmfs at these lengths, where few steps are taken
     polys = _in_c(n)
-    steps = zip(range(n - 6, 2, -1), *_crossing_recurrence.coefficient_streams(n))
+    steps = zip(range(n - 1, 2, -1), *_crossing_recurrence.coefficient_streams(n))
     for c, *values in steps:
         assert values == [sum(a * c**e for e, a in enumerate(p)) for p in polys], (n, c)
 
@@ -440,6 +456,8 @@ def test_alpha_rate_trefoil_small():
 
 
 def test_alpha_target_value():
+    assert ALPHA**3 == pytest.approx(27 / 32, abs=1e-15)
+    assert math.log2(ALPHA) == pytest.approx(LOG2_ALPHA, abs=1e-15)
     assert LOG2_ALPHA == pytest.approx(math.log2(27 / 32) / 3)
     assert LOG2_ALPHA == pytest.approx(entropy(1 / 3) - 1)
     assert LOG2_ALPHA == pytest.approx(-0.0817, abs=5e-5)
@@ -473,6 +491,7 @@ def test_beta_summary_small():
     summary = beta_summary(6, delta=0.05)
     assert summary.mode == 3
     assert summary.mode_ratio == pytest.approx(0.5)
+    assert summary.gap == pytest.approx(0.5 - BETA)
     # every outcome is far from beta at n=6, unknot included
     assert summary.tail_mass == 1
 
@@ -481,6 +500,8 @@ def test_beta_summary_rejects_lengths_without_crossing_mass():
     for n in (0, 1):
         with pytest.raises(ValueError, match=f"n={n}"):
             beta_summary(n)
+    summary = beta_summary(3)  # the first length with crossing mass
+    assert (summary.mode, summary.tail_mass) == (3, 1)
 
 
 def test_beta_summary_tail_shrinks_with_delta():

@@ -21,10 +21,25 @@ def test_batch_reduction_matches_words_crossing_number():
 
 
 def test_empty_report_is_valid():
-    report = sample_pmf(6, 0, seed=1)
+    report = sample_pmf(6, 0, seed=1, exact=crossing_pmf(6))
     assert report.sample_count == 0
     assert report.counts == {}
     assert report.empirical == {}
+    assert report.tv_distance_to_exact is None
+
+
+def test_one_word_report_has_all_its_mass_at_one_crossing_number():
+    exact = crossing_pmf(6)
+    report = sample_pmf(6, 1, seed=1, exact=exact)
+    ((c, k),) = report.counts.items()
+    assert k == 1 and report.empirical == {c: 1.0}
+    assert report.tv_distance_to_exact == tv_distance({c: 1.0}, exact.as_float_dict())
+
+
+def test_workers_default_to_one():
+    report = sample_pmf(12, 300, seed=5)
+    assert report.workers == 1
+    assert report == sample_pmf(12, 300, seed=5, workers=1)
 
 
 def test_determinism_is_bitwise():

@@ -4,7 +4,7 @@ The acceptance suite and the unit tests assert on these checks, so a check
 that always passed would hide every fault.
 """
 
-from itertools import count
+from itertools import chain, count, groupby
 from math import comb
 from operator import add
 from types import SimpleNamespace
@@ -31,7 +31,6 @@ knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
 orbit_halves = words._orbit_halves
 crossing_pmf = distributions.crossing_pmf
 classify_terminals = oracle.classify_terminals
-binomial = distributions.binomial
 external_moves = sampler._external_moves
 coefficient_streams = _crossing_recurrence.coefficient_streams
 
@@ -42,14 +41,16 @@ WRONG_TABLE[3][0][0] += 1
 
 def _top_difference_of_p3_one_too_high(n):
     # p_3's constant 8th difference one too high adds C(j, 8) to p_3 at step j,
-    # so nothing changes before c = n - 14 and the pmf is right up to n = 16
+    # so nothing changes before c = n - 9 and the pmf is right up to n = 10
     streams = coefficient_streams(n)
     streams[3] = map(add, streams[3], (comb(j, 8) for j in count()))
     return streams
 
 
-def _one_more_empty_choice(n, k):  # C(., 0) one too high, so every top count wrong
-    return binomial(n, k) + (k == 0)
+def _first_p1_one_too_high(n):  # the first step, at c = n - 1, gets a wrong p_1
+    streams = coefficient_streams(n)
+    streams[1] = chain([next(streams[1]) + 1], streams[1])
+    return streams
 
 
 def _bump_binomial_at_3(n, m):  # C(n, 3) one too high, the partial sum right
@@ -92,9 +93,9 @@ def _orbit_without_resized_forms(w, mode):  # only the terminal's own length
 
 
 def _last_inner_run_unswapped(w):  # resize, but the last inner run keeps its length
-    first, lengths = words.runs(w)
+    letters, lengths = zip(*((a, len(list(g))) for a, g in groupby(w)))
     inner = (*(3 - n for n in lengths[1:-2]), lengths[-2])
-    return words.RunDecomposition(first, (1, *inner, 1)).word()
+    return "".join(a * k for a, k in zip(letters, (1, *inner, 1)))
 
 
 def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
@@ -165,13 +166,14 @@ PLANTED = [
     # the pmf's run-time certificate raises, and each check reports a failure
     pytest.param(sc.check_pmf_reference, (13,), _crossing_recurrence, "P", WRONG_TABLE,
                  id="check_pmf_reference-recurrence_table"),
-    # no step reaches the wrong difference below n = 18, so sizes 13 and 7 miss it
+    # no step reaches the wrong difference below n = 12, so size 7 misses it
     pytest.param(sc.check_pmf_reference, (20,), _crossing_recurrence,
                  "coefficient_streams", _top_difference_of_p3_one_too_high,
                  id="check_pmf_reference-top_difference"),
-    # C(c-2, 0) one too high: the top count at c = n and the j = 1 term at c = n-3
-    pytest.param(sc.check_pmf_normalization, (7,), distributions, "binomial",
-                 _one_more_empty_choice, id="check_pmf_normalization-top_value"),
+    # p_1 one too high at the first step, c = n - 1, next to the seed counts[n] = 2
+    pytest.param(sc.check_pmf_normalization, (7,), _crossing_recurrence,
+                 "coefficient_streams", _first_p1_one_too_high,
+                 id="check_pmf_normalization-top_value"),
     pytest.param(sc.check_sampler_crossings, (6,), sampler, "_external_moves",
                  _prefix_moves_only, id="check_sampler_crossings-external_moves"),
     pytest.param(sc.check_class_invariance, (2,), words, "knot_class",
@@ -197,28 +199,32 @@ PLANTED = [
 
 def test_the_wrong_table_fails_the_pmf_certificate_at_a_division(monkeypatch):
     monkeypatch.setattr(_crossing_recurrence, "P", WRONG_TABLE)
-    assert crossing_pmf(7) == oracle.crossing_pmf_by_double_sum(7)  # no step below 9
-    for n in (9, 301):
-        with pytest.raises(AssertionError, match=f"crossing_pmf[(]{n}[)]: division at c="):
+    for n in (3, 4):  # p_3 multiplies counts[c+3], which is 0 above c = n - 3
+        assert crossing_pmf(n) == oracle.crossing_pmf_by_double_sum(n)
+    for n in (6, 9, 301):
+        with pytest.raises(AssertionError,
+                           match=f"crossing_pmf[(]{n}[)]: division at c={n - 3} "):
             crossing_pmf(n)
 
 
-def test_a_wrong_top_difference_shows_only_past_length_17(monkeypatch):
+def test_a_wrong_top_difference_shows_only_past_length_10(monkeypatch):
     monkeypatch.setattr(_crossing_recurrence, "coefficient_streams",
                         _top_difference_of_p3_one_too_high)
-    for n in (9, 10, 12, 13, 15, 16):
+    for n in (3, 4, 6, 7, 9, 10):
         assert crossing_pmf(n) == oracle.crossing_pmf_by_double_sum(n)
-    with pytest.raises(AssertionError, match="crossing_pmf[(]18[)]: division at c=4 "):
-        crossing_pmf(18)
+    with pytest.raises(AssertionError, match="crossing_pmf[(]12[)]: division at c=3 "):
+        crossing_pmf(12)
 
 
 def test_a_wrong_top_count_fails_the_pmf_certificate(monkeypatch):
-    # below n = 9 there is no division, so the total catches it, and past it
-    # the first division already fails
-    monkeypatch.setattr(distributions, "binomial", _one_more_empty_choice)
-    for n, what in ((3, "the counts do not sum"), (7, "the counts do not sum"),
-                    (301, "division at c=295 leaves")):
-        with pytest.raises(AssertionError, match=f"crossing_pmf[(]{n}[)]: {what}"):
+    # counts[n - 1] comes from the first step, so its division already fails;
+    # n = 3 takes no step, and its one crossing count is the seed
+    monkeypatch.setattr(_crossing_recurrence, "coefficient_streams",
+                        _first_p1_one_too_high)
+    assert crossing_pmf(3) == oracle.crossing_pmf_by_double_sum(3)
+    for n in (4, 7, 301):
+        with pytest.raises(AssertionError,
+                           match=f"crossing_pmf[(]{n}[)]: division at c={n - 1} leaves"):
             crossing_pmf(n)
 
 

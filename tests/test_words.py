@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -262,12 +262,16 @@ def test_resize_rejects_non_reduced():
         resize("00")
 
 
+def _runs(w):
+    """(letter, length) of each maximal run of w, from itertools.groupby."""
+    return [(a, len(list(g))) for a, g in groupby(w)]
+
+
 @st.composite
 def reduced_word_strategy(draw):
-    first = draw(st.sampled_from("01"))
+    first = draw(st.integers(0, 1))
     inner = draw(st.lists(st.integers(1, 2), min_size=1, max_size=8))
-    lengths = (1, *inner, 1)
-    return RunDecomposition(int(first), lengths).word()
+    return "".join(str((first + i) % 2) * k for i, k in enumerate((1, *inner, 1)))
 
 
 @given(reduced_word_strategy())
@@ -279,9 +283,10 @@ def test_symmetry_involutions(w):
 
 
 def _reference_resize(w):
-    """resize() spelled from runs(w): each inner run of length L gets 3 - L."""
-    first, lengths = runs(w)
-    return RunDecomposition(first, (1, *(3 - n for n in lengths[1:-1]), 1)).word()
+    """resize() spelled from w's runs: each inner run of length L gets 3 - L."""
+    letters, lengths = zip(*_runs(w))
+    resized = (1, *(3 - n for n in lengths[1:-1]), 1)
+    return "".join(a * k for a, k in zip(letters, resized))
 
 
 def test_resize_meets_the_run_length_reference():
@@ -341,6 +346,7 @@ def test_unknot_class():
         assert knot_class(w) == UNKNOT_CLASS
     assert UNKNOT_CLASS.crossing_number == 0
     assert (UNKNOT_CLASS.ell0, UNKNOT_CLASS.ell1) == (0, 1)
+    assert UNKNOT_CLASS.multiplicity_r == 1  # the empty word alone
 
 
 def test_chiral_mode_splits_trefoil():
@@ -425,7 +431,7 @@ def _defined_class(t, mode):
     canonical = min(orbit, key=lambda u: (len(u), u))
     return KnotClass(canonical=canonical, ell0=len(by_residue[0][0]),
                      ell1=len(by_residue[1][0]), multiplicity_r=r,
-                     crossing_number=runs(canonical).count, is_unknot=False)
+                     crossing_number=len(_runs(canonical)), is_unknot=False)
 
 
 @pytest.mark.parametrize("mode", [MIRROR_IDENTIFIED, CHIRAL])
@@ -475,7 +481,7 @@ def test_crossing_number_of_long_words(n):
     rng = random.Random(n)
     for _ in range(3):
         w = "".join(rng.choices("01", k=n))
-        count = runs(reduce(w)).count
+        count = len(_runs(reduce(w)))
         assert crossing_number(w) == (count if count > 1 else 0)
         for mode in (MIRROR_IDENTIFIED, CHIRAL):
             assert knot_class(w, mode).crossing_number == crossing_number(w)
