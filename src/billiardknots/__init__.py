@@ -31,10 +31,10 @@ _EXPORTS = {
                "tally_terminals"),
     "render": ("BilliardGeometry", "billiard_geometry", "render_svg"),
     "words": ("CHIRAL", "MIRROR_IDENTIFIED", "UNKNOT_CLASS", "KnotClass",
-              "ReductionMove", "ResourceGuardError", "RunDecomposition", "Word",
-              "apply_move", "available_moves", "complement", "crossing_number",
-              "is_reduced", "knot_class", "reduce", "reduce_runs", "resize",
-              "reverse", "runs", "symmetry_orbit"),
+              "ReductionMove", "ResourceGuardError", "Word", "apply_move",
+              "available_moves", "complement", "crossing_number", "is_reduced",
+              "knot_class", "reduce", "reduce_runs", "resize", "reverse",
+              "symmetry_orbit"),
     "sampler": ("SampleReport", "sample_pmf", "tv_distance"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -226,11 +226,13 @@ def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
     """Locate the pmf mode and the exact mass outside the beta +- delta band.
 
     The unknot (crossing number 0) counts toward the tail.  Ties on the
-    mode go to the smallest crossing number.  Lengths below 3 carry no
-    crossing mass and have no mode; they are rejected.
+    mode go to the smallest crossing number.  Lengths below 3 (no crossing
+    mass, so no mode) and a NaN or negative delta are rejected.
     """
     from fractions import Fraction
 
+    if not delta >= 0:  # NaN compares false, and would put no mass in the tail
+        raise ValueError(f"delta={delta} must be a nonnegative number")
     n, counts = crossing_pmf(n)
     if n < 3:
         raise ValueError(f"n={n} has no crossing mass, so the pmf has no mode")
@@ -243,7 +245,7 @@ def beta_summary(n: int, delta: float = 0.05) -> BetaSummary:
 
 def entropy(p: float) -> float:
     """Binary entropy -p*log2(p) - (1-p)*log2(1-p), 0 at the endpoints."""
-    if p < 0 or p > 1:
+    if not 0 <= p <= 1:
         raise ValueError(f"entropy argument {p} outside [0, 1]")
     if p == 0 or p == 1:
         return 0.0

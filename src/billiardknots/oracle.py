@@ -73,7 +73,7 @@ def reduce_by_moves(w: Word) -> Word:
     Each step applies the leftmost internal move if one exists, then the
     prefix move, then the suffix move: the first of words.available_moves,
     found by str.find and the two end triples.  Quadratic in len(w);
-    words.reduce and words.reduce_runs must reach the same terminal.
+    words.reduce must reach the same terminal.
     """
     check_word(w)
     while True:

@@ -80,47 +80,6 @@ def check_word(w: Word) -> Word:
     return w
 
 
-class RunDecomposition(NamedTuple):
-    """Maximal runs of a word: starting bit plus the run lengths in order."""
-
-    first_bit: int
-    run_lengths: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.run_lengths)
-
-    def word(self) -> Word:
-        """Rebuild the word the decomposition came from."""
-        return _spell(self.first_bit, self.run_lengths)
-
-
-def _spell(first_bit: int, run_lengths: tuple[int, ...]) -> Word:
-    """The word with these run lengths whose first letter is first_bit."""
-    bit = first_bit
-    parts = []
-    for n in run_lengths:
-        parts.append(("1" if bit else "0") * n)
-        bit ^= 1
-    return "".join(parts)
-
-
-def runs(w: Word) -> RunDecomposition:
-    """Decompose w into maximal runs. The empty word has no runs (first_bit 0)."""
-    if not check_word(w):
-        return RunDecomposition(0, ())
-    lengths = []
-    current = 1
-    for prev, ch in zip(w, w[1:]):
-        if ch == prev:
-            current += 1
-        else:
-            lengths.append(current)
-            current = 1
-    lengths.append(current)
-    return RunDecomposition(int(w[0]), tuple(lengths))
-
-
 def is_reduced(w: Word) -> str:
     """Classify w as REDUCED, INTERNAL_REDUCED_ONLY or NOT_INTERNAL_REDUCED.
 
@@ -203,13 +162,14 @@ def reduce(w: Word) -> Word:
 
 def reduce_runs(
     first_bit: int, run_lengths: list[int] | tuple[int, ...]
-) -> RunDecomposition:
-    """Reduce a word given as run lengths, in time linear in the run count.
+) -> tuple[int, tuple[int, ...]]:
+    """Reduce a word given as run lengths, for the benchmark's layer probe only.
 
-    A thin wrapper over reduce(): each run is spelled with its length mod 3
-    (itself a sequence of internal moves), and the runs of the terminal are
-    returned.  The first bit must be 0 or 1 and the lengths positive
-    integers; a float raises TypeError instead of being truncated.
+    Each run is spelled with its length mod 3 (internal moves), reduce()
+    reduces the word, and the terminal's (first bit, run lengths) are read
+    from its run tokens: (0, ()) if it is empty.  The first bit must be 0
+    or 1 and the lengths positive integers; a float raises TypeError.  No
+    command calls it, and it goes with ROADMAP item 4's benchmark upkeep.
     """
     bit = operator.index(first_bit)
     if bit not in (0, 1):
@@ -217,7 +177,10 @@ def reduce_runs(
     lengths = [operator.index(n) for n in run_lengths]
     if any(n <= 0 for n in lengths):
         raise ValueError("run lengths must be positive")
-    return runs(reduce(_spell(bit, [n % 3 for n in lengths])))
+    t = reduce("".join("01"[(bit + i) % 2] * (n % 3) for i, n in enumerate(lengths)))
+    if not t:
+        return 0, ()
+    return int(t[0]), tuple(1 + (ch in "ab") for ch in _run_tokens(t))
 
 
 def complement(w: Word) -> Word:

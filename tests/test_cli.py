@@ -505,6 +505,20 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout == "101\n"
 
 
+def test_the_benchmark_layer_probe_runs(tmp_path):
+    # benchmarks/run.py --trace 1 calls the package through this probe, so a
+    # name it needs that goes missing fails here, not at a traced benchmark run
+    repo = Path(cli.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(repo / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    out = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, str(repo / "benchmarks" / "layer_probe.py"), str(out)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    trace = json.loads(out.read_text())["trace"]
+    assert trace["words.reduce_runs.calls"] >= 1
+
+
 # every public name of the package, by the module that defines it
 EXPORTED = {
     "counting": ("binomial", "binomial_lt", "count_full", "count_internal",
@@ -519,10 +533,9 @@ EXPORTED = {
                "exact_distribution", "reduce_by_moves", "tally_terminals"),
     "render": ("BilliardGeometry", "billiard_geometry", "render_svg"),
     "words": ("CHIRAL", "MIRROR_IDENTIFIED", "UNKNOT_CLASS", "KnotClass",
-              "ReductionMove", "RunDecomposition", "Word", "apply_move",
-              "available_moves", "complement", "crossing_number", "is_reduced",
-              "knot_class", "reduce", "reduce_runs", "resize", "reverse", "runs",
-              "symmetry_orbit"),
+              "ReductionMove", "Word", "apply_move", "available_moves",
+              "complement", "crossing_number", "is_reduced", "knot_class",
+              "reduce", "reduce_runs", "resize", "reverse", "symmetry_orbit"),
     "sampler": ("SampleReport", "sample_pmf", "tv_distance"),
 }
 

@@ -511,6 +511,18 @@ def test_beta_summary_tail_shrinks_with_delta():
     assert 0 <= wide <= narrow <= 1
 
 
+@pytest.mark.parametrize("delta", [math.nan, -0.01])
+def test_beta_summary_rejects_a_nan_or_negative_delta(delta):
+    with pytest.raises(ValueError, match=f"delta={delta}"):
+        beta_summary(300, delta)
+
+
+def test_beta_summary_edge_deltas():
+    # BETA is irrational, so no c/n sits in the band of width 0
+    assert beta_summary(300, 0).tail_mass == 1
+    assert beta_summary(300, math.inf).tail_mass == 0
+
+
 @pytest.mark.parametrize("n", [4, 7, 10, 13])
 def test_beta_summary_mode_ties_go_to_the_smaller_crossing_number(n):
     masses = crossing_pmf(n).masses
@@ -551,10 +563,13 @@ def test_phi_negative_away_from_critical_point():
 
 
 def test_phi_domain_checks():
-    for x, y in ((0.5, 0.0), (0.5, 0.6), (0.6, 0.5), (0.1, -0.1), (1.2, 0.1)):
-        with pytest.raises(ValueError):
+    # (0.4, 0.4) and (0.6, 0.4) sit on the boundary y = x and x + y = 1, where
+    # an accepted point raises no error or only math's own
+    for x, y in ((0.5, 0.0), (0.5, 0.6), (0.6, 0.5), (0.1, -0.1), (1.2, 0.1),
+                 (0.4, 0.4), (0.6, 0.4)):
+        with pytest.raises(ValueError, match="outside"):
             phi(x, y)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside"):
             phi_gradient(x, y)
 
 
@@ -567,5 +582,9 @@ def test_entropy_endpoints():
     assert entropy(0) == 0
     assert entropy(1) == 0
     assert entropy(0.5) == 1
-    with pytest.raises(ValueError):
-        entropy(1.5)
+
+
+@pytest.mark.parametrize("p", [-0.5, 1.5, math.nan])
+def test_entropy_domain(p):
+    with pytest.raises(ValueError, match="outside"):
+        entropy(p)

@@ -22,7 +22,6 @@ from billiardknots.words import (
     UNKNOT_CLASS,
     UNKNOT_FORMS,
     ReductionMove,
-    RunDecomposition,
     apply_move,
     available_moves,
     complement,
@@ -33,7 +32,6 @@ from billiardknots.words import (
     reduce_runs,
     resize,
     reverse,
-    runs,
     symmetry_orbit,
 )
 
@@ -52,26 +50,9 @@ def reduced_knot_words(max_len):
     return (w for w in reduced_words(max_len) if len(w) % 3 != 2)
 
 
-# ---------------------------------------------------------------- runs
-
-def test_runs_examples():
-    assert runs("1010010") == RunDecomposition(1, (1, 1, 1, 2, 1, 1))
-    assert runs("1010010").count == 6
-    assert runs("") == RunDecomposition(0, ())
-    assert runs("000") == RunDecomposition(0, (3,))
-
-
-@given(binary_words)
-def test_runs_roundtrip(w):
-    r = runs(w)
-    assert r.word() == w
-    assert sum(r.run_lengths) == len(w)
-    assert all(n >= 1 for n in r.run_lengths)
-
-
-def test_runs_rejects_garbage():
-    with pytest.raises(ValueError):
-        runs("10x01")
+def _runs(w):
+    """(letter, length) of each maximal run of w, from itertools.groupby."""
+    return [(a, len(list(g))) for a, g in groupby(w)]
 
 
 # ---------------------------------------------------------------- is_reduced
@@ -163,12 +144,15 @@ def test_reduce_properties(w):
 
 @given(binary_words)
 def test_reduce_runs_agrees_with_reduce(w):
-    r = runs(w)
-    fast = RunDecomposition(*reduce_runs(r.first_bit, r.run_lengths)).word()
-    assert fast == reduce(w) == reduce_by_moves(w)
+    # the runs of w in, the runs of its terminal out, both read by groupby
+    t = reduce(w)
+    assert t == reduce_by_moves(w)
+    lengths = [k for _, k in _runs(w)]
+    assert reduce_runs(int(w[:1] or 0), lengths) == (
+        int(t[:1] or 0), tuple(k for _, k in _runs(t)))
 
 
-def test_reduce_runs_agrees_exhaustively():
+def test_reduce_engines_agree_exhaustively():
     ok, detail = selfcheck.check_reduce_engines(11)
     assert ok, detail
 
@@ -260,11 +244,6 @@ def test_resize_rejects_non_reduced():
         resize("0011")
     with pytest.raises(ValueError):
         resize("00")
-
-
-def _runs(w):
-    """(letter, length) of each maximal run of w, from itertools.groupby."""
-    return [(a, len(list(g))) for a, g in groupby(w)]
 
 
 @st.composite
