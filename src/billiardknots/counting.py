@@ -16,7 +16,7 @@ from .words import check_count
 def binomial(n: int, k: int) -> int:
     """C(n, k), with the convention that it is 0 for k < 0 or k > n."""
     n, k = check_count("n", n), operator.index(k)
-    if k < 0 or k > n:
+    if k < 0:
         return 0
     return comb(n, k)
 

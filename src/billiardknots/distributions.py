@@ -183,8 +183,6 @@ def crossing_pmf(n: int) -> CrossingPmf:
 
 def _log2_int(x: int) -> float:
     """Base-2 log of a positive integer of any size (top 53 bits kept)."""
-    if x <= 0:
-        raise ValueError("x must be positive")
     shift = x.bit_length() - 53
     if shift <= 0:
         return math.log2(x)

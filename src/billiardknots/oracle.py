@@ -26,7 +26,6 @@ from .words import (
     check_word,
     knot_class,
     reduce,
-    symmetry_orbit,
 )
 
 if TYPE_CHECKING:
@@ -132,19 +131,14 @@ def classify_terminals(
     """Group a terminal tally of length n into knot classes.
 
     Counts are grouped by the canonical word of each knot class and a
-    crossing-number histogram is tallied alongside.  Every word of a
-    symmetry orbit has the same class, so knot_class runs once per orbit
-    and its answer is shared with the rest of the orbit.
+    crossing-number histogram is tallied alongside.  knot_class runs on
+    every distinct terminal.
     """
-    known: dict[Word, KnotClass] = {}
     counts: dict[Word, int] = {}
     classes: dict[Word, KnotClass] = {}
     crossing: Counter[int] = Counter()
     for terminal, tally in terminals.items():
-        cls = known.get(terminal)
-        if cls is None:
-            cls = knot_class(terminal, mode)
-            known.update(dict.fromkeys(symmetry_orbit(terminal, mode), cls))
+        cls = knot_class(terminal, mode)
         counts[cls.canonical] = counts.get(cls.canonical, 0) + tally
         classes[cls.canonical] = cls
         crossing[cls.crossing_number] += tally

@@ -59,12 +59,11 @@ def _geometry_and_strands(
     twice = 2 * width
     bounces = sorted([*range(0, TABLE_HEIGHT * width + 1, TABLE_HEIGHT), width, twice])
     vertices = tuple([(_fold(t, width), _fold(t, TABLE_HEIGHT)) for t in bounces])
-    segment = list(range(len(bounces) - 1))  # one int per segment, shared by its strands
     through: dict[tuple[int, int], list[int]] = {}
     for x in range(1, width):
         y = 2 - x % 2
         through[x, y] = strands = [
-            segment[t // TABLE_HEIGHT + (t > width) + (t > twice)]
+            t // TABLE_HEIGHT + (t > width) + (t > twice)
             for t in (x, twice - x, twice + x)
             if t % 6 in (y, 6 - y)  # _fold(t, TABLE_HEIGHT) == y
         ]

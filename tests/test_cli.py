@@ -474,6 +474,18 @@ def test_probabilities_load_fractions_only_for_exact_fraction_views():
     assert done.returncode == 0, done.stderr
 
 
+def test_selfcheck_loads_neither_fractions_nor_decimal():
+    script = textwrap.dedent("""
+        import sys
+        from billiardknots.cli import main
+        assert main(["selfcheck"]) == 0
+        assert main(["selfcheck", "--deep"]) == 0
+        assert {"fractions", "decimal"} & sys.modules.keys() == set()
+    """)
+    done = run_python("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
 def test_the_recurrence_table_loads_for_every_pmf_but_not_for_prob():
     script = textwrap.dedent("""
         import sys

@@ -27,7 +27,7 @@ from billiardknots.cli import main
 binomial_lt, count_full = counting.binomial_lt, counting.count_full
 binomial_and_below = counting._binomial_and_below
 count_internal = counting.count_internal
-knot_class, symmetry_orbit = words.knot_class, words.symmetry_orbit
+knot_class = words.knot_class
 orbit_halves = words._orbit_halves
 crossing_pmf = distributions.crossing_pmf
 classify_terminals = oracle.classify_terminals
@@ -72,6 +72,8 @@ def _bump_walk(kind):
 
 
 def _move_a_word_from_3_to_4(n):  # the total, and so the unknot, stays right
+    if n < 4:
+        return crossing_pmf(n)
     counts = dict(crossing_pmf(n).counts)
     counts[3] -= 1
     counts[4] += 1
@@ -139,11 +141,6 @@ PLANTED = [
     pytest.param(sc.check_distribution, ((3,), (words.CHIRAL,)), distributions,
                  "knot_probability", lambda knot, n: distributions.ExactProb(0, n),
                  id="check_distribution-knot_probability"),
-    # the oracle shares each class over the orbit its lookup names: "101" and
-    # "010" are mirror images, so different chiral classes
-    pytest.param(sc.check_distribution, ((3,), (words.CHIRAL,)), oracle,
-                 "symmetry_orbit", lambda w, mode: symmetry_orbit(w, mode) | {"101"},
-                 id="check_distribution-oracle_symmetry_orbit"),
     pytest.param(sc.check_distribution, ((3, 4),), words, "_orbit_halves",
                  _orbit_without_resized_forms,
                  id="check_distribution-words_symmetry_orbit"),
@@ -163,6 +160,9 @@ PLANTED = [
     pytest.param(sc.check_pmf_reference, (13,), distributions, "count_full",
                  lambda m, ell: count_full(m, ell) + (m == 1),
                  id="check_pmf_reference-count_full"),
+    # the total and every division stay right, so only the comparison sees it
+    pytest.param(sc.check_pmf_reference, (13,), distributions, "crossing_pmf",
+                 _move_a_word_from_3_to_4, id="check_pmf_reference-crossing_pmf"),
     # the pmf's run-time certificate raises, and each check reports a failure
     pytest.param(sc.check_pmf_reference, (13,), _crossing_recurrence, "P", WRONG_TABLE,
                  id="check_pmf_reference-recurrence_table"),
@@ -238,6 +238,13 @@ def test_shared_check_catches_a_planted_fault(check, args, module, name, wrong,
     ok, detail = check(*args)
     assert not ok
     assert detail and detail != passed
+
+
+def test_pmf_reference_names_the_first_count_that_differs(monkeypatch):
+    monkeypatch.setattr(distributions, "crossing_pmf", _move_a_word_from_3_to_4)
+    ok, detail = sc.check_pmf_reference(13)
+    assert not ok
+    assert detail.startswith("n=4 c=3:"), detail
 
 
 def test_every_check_has_a_planted_fault():
