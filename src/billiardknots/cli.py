@@ -112,12 +112,18 @@ def _cmd_class(args, guards) -> None:
     _emit(args, cls.to_json(), text)
 
 
+def _class_at_guarded_length(args, guards) -> words.KnotClass:
+    """The word's class, once n passes check_length (exit 2) and the guard (exit 3)."""
+    cls = words.knot_class(args.word, _mode(args))
+    words.check_length(args.n)
+    words.check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
+    return cls
+
+
 def _cmd_prob(args, guards) -> None:
     from . import distributions
 
-    cls = words.knot_class(args.word, _mode(args))
-    words.check_length(args.n)  # an invalid length exits 2 before the guard
-    words.check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
+    cls = _class_at_guarded_length(args, guards)
     p = distributions.knot_probability(cls, args.n)
     payload = {"word": args.word, "n": args.n, "canonical": cls.canonical,
                "probability": str(p), "float": float(p)}
@@ -140,10 +146,7 @@ def _cmd_pmf(args, guards) -> None:
 def _cmd_rate(args, guards) -> None:
     from . import distributions
 
-    cls = words.knot_class(args.word, _mode(args))
-    words.check_length(args.n)
-    words.check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
-    report = distributions.alpha_rate(cls, args.n)
+    report = distributions.alpha_rate(_class_at_guarded_length(args, guards), args.n)
     payload = {"word": args.word, **report._asdict()}
     _emit(args, payload,
           f"log2 rate {report.log2_rate:.6f}  target {report.target:.6f}  "

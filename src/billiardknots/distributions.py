@@ -103,11 +103,6 @@ class CrossingPmf(NamedTuple):
     def masses(self) -> dict[int, ExactProb]:  # c in 3..n -> mass, built on each access
         return {c: ExactProb(k, self.n) for c, k in self.counts.items() if c}
 
-    def total(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(sum(self.counts.values()), 1 << self.n)
-
     def as_float_dict(self) -> dict[int, float]:
         """Float view keyed by crossing number, with the unknot at 0."""
         den = 1 << self.n  # int true division rounds as float(ExactProb) does

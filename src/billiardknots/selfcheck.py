@@ -1,11 +1,14 @@
 """Built-in consistency checks wiring the formulas against the brute force.
 
 Each check returns (ok, detail), and on failure the detail names the input
-that failed.  These functions are the only implementation of each audit:
-the package's tests call them at their own sizes and assert on the result.
-run_selfcheck runs them from one table, SELFCHECKS, and names each row by
-its function's name without "check_" and with "-" for "_".  The quick
-column runs in a fraction of a second; the deep column repeats the
+that failed; or it raises, as a crossing pmf does when its run-time
+certificate fails.  _run grades both: a raise is a failed check with detail
+"<ExceptionType>: <message>".  These functions are the only implementation
+of each audit: the package's tests call them at their own sizes and assert
+on the result, and its planted-fault tests grade them through _run.
+run_selfcheck runs them through _run from one table, SELFCHECKS, and names
+each row by its function's name without "check_" and with "-" for "_".  The
+quick column runs in a fraction of a second; the deep column repeats the
 expensive audits at larger sizes and adds the rows whose quick column is
 None.  check_sampler_crossings runs only from the tests: it needs numpy,
 and importing numpy alone takes longer than a whole quick selfcheck process.
@@ -76,11 +79,10 @@ def check_confluence(max_n: int) -> Check:
 
 
 def check_counting_identities(limit: int) -> Check:
-    """The anchored (C(n, m), partial row sum) pair equals math.comb and its
-    prefix sums with m walked up the row one step at a time, back down, and
-    then reached from k = 0 by the two-position walk for every m >= 4, so
-    each kind of walk is audited; and the binomial summation identities
-    used by the closed insertion count hold."""
+    """The anchored (C(n, m), partial row sum) pair and (binomial, binomial_lt)
+    equal math.comb and its prefix sums with m walked up the row one step at a
+    time, back down, and then reached from k = 0 by the two-position walk for
+    every m >= 4, so each kind of walk is audited."""
     for n in range(limit + 1):
         row = [comb(n, k) for k in range(n + 1)]
         sums = [0, *accumulate(row)]
@@ -88,17 +90,8 @@ def check_counting_identities(limit: int) -> Check:
         for m in (*range(n + 1), *range(n - 1, -1, -1), *ups):
             if counting._binomial_and_below(n, m) != (row[m], sums[m]):
                 return False, f"anchored pair at {n=} {m=}"
-        lhs1 = lhs2 = 0
-        for m in range(n + 1):
-            if 2 * lhs1 != n * counting.binomial_lt(n, m) - m * counting.binomial(n, m):
-                return False, f"first identity at {n=} {m=}"
-            rhs2 = n * (n - 1) * counting.binomial_lt(n, m) - m * (
-                2 * m + n - 3
-            ) * counting.binomial(n, m)
-            if 4 * lhs2 != rhs2:
-                return False, f"second identity at {n=} {m=}"
-            lhs1 += m * row[m]
-            lhs2 += m * (m - 1) * row[m]
+            if (counting.binomial(n, m), counting.binomial_lt(n, m)) != (row[m], sums[m]):
+                return False, f"binomial or binomial_lt at {n=} {m=}"
     return True, f"n up to {limit}"
 
 
@@ -144,10 +137,7 @@ def check_distribution(
     for n in lengths:
         terminals = oracle.tally_terminals(n)
         for mode in modes:
-            try:
-                dist = oracle.classify_terminals(n, terminals, mode)
-            except AssertionError as exc:  # knot_class met an unbalanced orbit
-                return False, f"n={n} {mode}: {exc}"
+            dist = oracle.classify_terminals(n, terminals, mode)
             for canonical, cnt in dist.counts.items():
                 p = distributions.knot_probability(dist.classes[canonical], n)
                 if p != distributions.ExactProb(cnt, n):  # both out of 2**n words
@@ -162,14 +152,11 @@ def check_distribution(
 
 def check_pmf_reference(max_n: int) -> Check:
     """The crossing pmf from the recurrence in c equals the reference double
-    sum; a pmf whose run-time certificate fails is a failed check."""
+    sum; a pmf whose run-time certificate fails raises its AssertionError."""
     for n in range(max_n + 1):
         if n % 3 == 2:
             continue
-        try:
-            fast = distributions.crossing_pmf(n).counts
-        except AssertionError as exc:
-            return False, f"n={n}: AssertionError: {exc}"
+        fast = distributions.crossing_pmf(n).counts
         slow = oracle.crossing_pmf_by_double_sum(n).counts
         for c in sorted(fast.keys() | slow.keys()):
             if fast.get(c) != slow.get(c):
@@ -180,14 +167,10 @@ def check_pmf_reference(max_n: int) -> Check:
 def check_pmf_normalization(max_n: int) -> Check:
     """Every crossing pmf up to max_n passes its run-time certificate, so
     each division is exact and the masses sum to exactly 1; a pmf whose
-    certificate fails is a failed check."""
+    certificate fails raises its AssertionError, whose message names n."""
     for n in range(1, max_n + 1):
-        if n % 3 == 2:
-            continue
-        try:
+        if n % 3 != 2:
             distributions.crossing_pmf(n)
-        except AssertionError as exc:
-            return False, f"n={n}: AssertionError: {exc}"
     return True, f"n up to {max_n}"
 
 
@@ -290,16 +273,20 @@ SELFCHECKS: list[tuple[Callable[..., Check], Optional[tuple], tuple]] = [
 ]
 
 
+def _run(fn: Callable[..., Check], args: tuple) -> Check:
+    """fn(*args), with a raise graded as (False, "<ExceptionType>: <message>")."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+
+
 def run_selfcheck(deep: bool = False) -> list[tuple[str, bool, str]]:
-    """Run one column of SELFCHECKS as (name, ok, detail) rows; a check that
-    raises fails with detail "<ExceptionType>: <message>"."""
+    """Run one column of SELFCHECKS through _run as (name, ok, detail) rows."""
     results = []
     for fn, quick, deep_args in SELFCHECKS:
         args = deep_args if deep else quick
         if args is not None:
             name = fn.__name__.removeprefix("check_").replace("_", "-")
-            try:
-                results.append((name, *fn(*args)))
-            except Exception as exc:
-                results.append((name, False, f"{type(exc).__name__}: {exc}"))
+            results.append((name, *_run(fn, args)))
     return results

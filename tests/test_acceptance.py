@@ -226,8 +226,8 @@ def test_criterion_10_identity_suite():
     ok, detail = selfcheck.check_phi_gradient(12345)
     assert ok, detail
     ok = _verdict(
-        10, ok, "row-sum identities (n<=40), summation form of the full count "
-        "(m,ell<=12), gradient checks at the critical point and 100 random points",
+        10, ok, "binomials and partial row sums (n<=40), summation form of the full "
+        "count (m,ell<=12), gradient checks at the critical point and 100 random points",
         started,
     )
     assert ok

@@ -202,8 +202,7 @@ def test_count_full_summation_form():
     assert ok, detail
 
 
-def test_weighted_row_sum_identities():
-    # both identities, cleared of fractions (factors 2 and 4)
+def test_binomial_and_partial_row_sum_equal_math_comb_on_every_walk():
     ok, detail = selfcheck.check_counting_identities(24)
     assert ok, detail
 

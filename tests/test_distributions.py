@@ -300,7 +300,6 @@ def test_hand_built_pmf_reads_every_count_over_2_to_the_n():
     pmf = CrossingPmf(3, {0: 6, 3: 2})
     assert pmf.masses == {3: ExactProb(2, 3)}
     assert pmf.unknot_mass == ExactProb(6, 3)
-    assert pmf.total() == 1
     assert pmf.to_json() == {"n": 3, "unknot": "6/8", "pmf": {"3": "2/8"}}
 
 
@@ -366,17 +365,10 @@ def test_recurrence_table_annihilates_the_double_sum(double_sums):
             assert total == 0, (n, c)
 
 
-@pytest.mark.parametrize("n", [9, 10, 18, 301, 4000])
-def test_coefficient_streams_equal_the_table_at_every_step(n):
-    polys = _in_c(n)
-    steps = zip(range(n - 1, 2, -1), *_crossing_recurrence.coefficient_streams(n))
-    for c, *values in steps:
-        assert values == [sum(a * c**e for e, a in enumerate(p)) for p in polys], (n, c)
-
-
-@pytest.mark.parametrize("n", [n for n in range(4, 61) if n % 3 != 2])
+# every short length, where selfcheck builds its pmfs and few steps are
+# taken, and the long lengths 301 and 4000
+@pytest.mark.parametrize("n", [*(n for n in range(4, 61) if n % 3 != 2), 301, 4000])
 def test_coefficient_streams_equal_the_table_at_every_short_length(n):
-    # selfcheck builds its pmfs at these lengths, where few steps are taken
     polys = _in_c(n)
     steps = zip(range(n - 1, 2, -1), *_crossing_recurrence.coefficient_streams(n))
     for c, *values in steps:

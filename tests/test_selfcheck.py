@@ -27,7 +27,7 @@ from billiardknots.cli import main
 binomial_lt, count_full = counting.binomial_lt, counting.count_full
 binomial_and_below = counting._binomial_and_below
 count_internal = counting.count_internal
-knot_class = words.knot_class
+knot_class, reduce = words.knot_class, words.reduce
 orbit_halves = words._orbit_halves
 crossing_pmf = distributions.crossing_pmf
 classify_terminals = oracle.classify_terminals
@@ -100,6 +100,11 @@ def _last_inner_run_unswapped(w):  # resize, but the last inner run keeps its le
     return "".join(a * k for a, k in zip(letters, (1, *inner, 1)))
 
 
+def _resized_terminal_past_6_letters(w):  # the orbit, so the class, stays right
+    t = reduce(w)
+    return words._resized(t) if len(w) > 6 and len(t) >= 3 else t
+
+
 def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
     if step == 1:
         external_moves(stack, first, last, step)
@@ -163,7 +168,7 @@ PLANTED = [
     # the total and every division stay right, so only the comparison sees it
     pytest.param(sc.check_pmf_reference, (13,), distributions, "crossing_pmf",
                  _move_a_word_from_3_to_4, id="check_pmf_reference-crossing_pmf"),
-    # the pmf's run-time certificate raises, and each check reports a failure
+    # the pmf's run-time certificate raises, and _run grades the raise a failure
     pytest.param(sc.check_pmf_reference, (13,), _crossing_recurrence, "P", WRONG_TABLE,
                  id="check_pmf_reference-recurrence_table"),
     # no step reaches the wrong difference below n = 12, so size 7 misses it
@@ -179,6 +184,9 @@ PLANTED = [
     pytest.param(sc.check_class_invariance, (2,), words, "knot_class",
                  lambda w: knot_class(w if len(w) < 9 else w[3:]),
                  id="check_class_invariance-knot_class"),
+    # the class stays right, so only the residue of the reduced length sees it
+    pytest.param(sc.check_class_invariance, (2,), words, "reduce",
+                 _resized_terminal_past_6_letters, id="check_class_invariance-reduce"),
     pytest.param(sc.check_location_roundtrip, (2, 1), insertions, "location_map",
                  lambda w, wp: None, id="check_location_roundtrip-location_map_none"),
     pytest.param(sc.check_location_roundtrip, (2, 1), insertions, "location_map",
@@ -231,11 +239,12 @@ def test_a_wrong_top_count_fails_the_pmf_certificate(monkeypatch):
 @pytest.mark.parametrize("check,args,module,name,wrong", PLANTED)
 def test_shared_check_catches_a_planted_fault(check, args, module, name, wrong,
                                               monkeypatch):
+    # graded by the same _run as run_selfcheck, so a check that raises fails here too
     monkeypatch.setattr(counting, "_anchor", (0, 0, 1, 0))  # no wrong pair outlives it
-    ok, passed = check(*args)
+    ok, passed = sc._run(check, args)
     assert ok, passed
     monkeypatch.setattr(module, name, wrong)
-    ok, detail = check(*args)
+    ok, detail = sc._run(check, args)
     assert not ok
     assert detail and detail != passed
 
@@ -245,6 +254,13 @@ def test_pmf_reference_names_the_first_count_that_differs(monkeypatch):
     ok, detail = sc.check_pmf_reference(13)
     assert not ok
     assert detail.startswith("n=4 c=3:"), detail
+
+
+def test_class_invariance_names_the_reduced_length_residue(monkeypatch):
+    monkeypatch.setattr(words, "reduce", _resized_terminal_past_6_letters)
+    ok, detail = sc.check_class_invariance(2)
+    assert not ok
+    assert "reduced length mod 3" in detail, detail
 
 
 def test_every_check_has_a_planted_fault():
@@ -272,6 +288,15 @@ def test_selfcheck_command_reports_a_check_that_raises(monkeypatch, capsys):
     assert lines[4] == "FAIL  distribution: ValueError: probability above 1"
     assert lines[-1] == passing[-1]  # and the checks after it still ran
     assert lines[-1].startswith("PASS  location-roundtrip")
+    # a failed pmf certificate reads the same in every row that builds the pmf
+    monkeypatch.undo()
+    monkeypatch.setattr(_crossing_recurrence, "coefficient_streams",
+                        _first_p1_one_too_high)
+    assert main(["selfcheck"]) == 1
+    rows = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    detail = rows["FAIL  distribution"]
+    assert detail.startswith("AssertionError: crossing_pmf(4): division at c=3 "), detail
+    assert rows["FAIL  pmf-normalization"] == detail
 
 
 def test_distribution_check_names_lengths_given_as_a_generator():
