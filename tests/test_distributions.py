@@ -365,14 +365,22 @@ def test_recurrence_table_annihilates_the_double_sum(double_sums):
             assert total == 0, (n, c)
 
 
-# every short length, where selfcheck builds its pmfs and few steps are
-# taken, and the long lengths 301 and 4000
-@pytest.mark.parametrize("n", [*(n for n in range(4, 61) if n % 3 != 2), 301, 4000])
-def test_coefficient_streams_equal_the_table_at_every_short_length(n):
+def _assert_streams_equal_the_table(n):
     polys = _in_c(n)
     steps = zip(range(n - 1, 2, -1), *_crossing_recurrence.coefficient_streams(n))
     for c, *values in steps:
         assert values == [sum(a * c**e for e, a in enumerate(p)) for p in polys], (n, c)
+
+
+@pytest.mark.parametrize("n", [9, 10, 18, 301, 4000])
+def test_coefficient_streams_equal_the_table_at_every_step(n):
+    _assert_streams_equal_the_table(n)
+
+
+@pytest.mark.parametrize("n", [n for n in range(4, 61) if n % 3 != 2])
+def test_coefficient_streams_equal_the_table_at_every_short_length(n):
+    # selfcheck builds its pmfs at these lengths, where few steps are taken
+    _assert_streams_equal_the_table(n)
 
 
 def _nullspace_mod(rows, p):
