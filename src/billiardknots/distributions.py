@@ -46,7 +46,8 @@ class ExactProb(_ExactProbFields):
         # 2**exponent is built only for a numerator at least as large
         if numerator.bit_length() > exponent and numerator != 1 << exponent:
             raise ValueError("probability above 1")
-        return super().__new__(cls, numerator, exponent)
+        # tuple.__new__ skips the generated NamedTuple __new__, which adds a call
+        return tuple.__new__(cls, (numerator, exponent))
 
     @property
     def denominator(self) -> int:
@@ -193,8 +194,8 @@ class AsymptoticReport(NamedTuple):
 
 def alpha_rate(knot: KnotClass, n: int) -> AsymptoticReport:
     """Per-crossing log-probability of the knot at length n, against log2(alpha)."""
-    n = check_length(n)
     p = knot_probability(knot, n)
+    n = p.exponent  # knot_probability validated n, and the exponent is n
     if p.numerator == 0:
         raise ValueError(f"probability of {knot.canonical!r} at n={n} is 0")
     if n == 0:  # only the unknot has a probability there, and no rate

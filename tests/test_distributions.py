@@ -193,12 +193,25 @@ def test_knot_probability_does_not_depend_on_query_order():
     assert digest == CATALOGUE_PROBABILITIES_SHA256
 
 
+# sha256 of repr([alpha_rate(k, n), ...]) over the catalogue at each n, made
+# where alpha_rate still checked n itself before asking knot_probability
+ALPHA_RATES_SHA256 = "b8034684169977973659102df9e3832fb056cc784c2bf3cf12af41ad3200469a"
+
+
+def test_alpha_rates_of_the_catalogue_keep_every_bit():
+    catalogue = two_bridge_catalogue()
+    reports = [alpha_rate(k, n) for n in (1500, 1501, 3009) for k in catalogue]
+    assert hashlib.sha256(repr(reports).encode()).hexdigest() == ALPHA_RATES_SHA256
+
+
 def test_invalid_lengths_rejected():
     for n in (2, 5, 8, -1):
         with pytest.raises(ValueError):
             knot_probability(TREFOIL, n)
         with pytest.raises(ValueError):
             crossing_pmf(n)
+        with pytest.raises(ValueError, match=f"invalid length {n}"):
+            alpha_rate(TREFOIL, n)  # through knot_probability's own check
 
 
 @pytest.mark.parametrize("n", [6, 72])

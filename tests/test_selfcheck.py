@@ -105,6 +105,16 @@ def _resized_terminal_past_6_letters(w):  # the orbit, so the class, stays right
     return words._resized(t) if len(w) > 6 and len(t) >= 3 else t
 
 
+def _pass_then_trim(w):  # reduce with its letter stack skipped on every word
+    s = w.replace("000", "").replace("111", "")
+    start, end = 0, len(s)
+    while end - start >= 3 and s[start] == s[start + 1]:
+        start += 3
+    while end - start >= 3 and s[end - 1] == s[end - 2]:
+        end -= 3
+    return s[start:end]
+
+
 def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
     if step == 1:
         external_moves(stack, first, last, step)
@@ -116,6 +126,10 @@ def _prefix_moves_only(stack, first, last, step):  # the suffix moves dropped
 PLANTED = [
     pytest.param(sc.check_reduce_engines, (3,), words, "reduce", lambda w: w,
                  id="check_reduce_engines-reduce"),
+    # trimming the pass's output reduces every word of at most 7 letters right;
+    # 10011101, whose pass leaves 10001, is the first it gets wrong
+    pytest.param(sc.check_reduce_engines, (8,), words, "reduce", _pass_then_trim,
+                 id="check_reduce_engines-reduce_without_letter_stack"),
     pytest.param(sc.check_confluence, (3,), words, "reduce", lambda w: w,
                  id="check_confluence-reduce"),
     pytest.param(sc.check_confluence, (3,), oracle, "all_terminal_words",
@@ -254,6 +268,13 @@ def test_pmf_reference_names_the_first_count_that_differs(monkeypatch):
     ok, detail = sc.check_pmf_reference(13)
     assert not ok
     assert detail.startswith("n=4 c=3:"), detail
+
+
+def test_reduce_engines_need_8_letters_to_see_a_skipped_letter_stack(monkeypatch):
+    monkeypatch.setattr(words, "reduce", _pass_then_trim)
+    for n in range(3, 8):
+        assert sc.check_reduce_engines(n) == (True, f"all words up to length {n}")
+    assert sc.check_reduce_engines(8) == (False, "'10011101': '11' != '10001'")
 
 
 def test_class_invariance_names_the_reduced_length_residue(monkeypatch):

@@ -128,6 +128,8 @@ def test_apply_move_rejects_illegal():
         ("10100", "10"),
         ("", ""),
         ("00100", "00"),
+        ("1000111", "1"),  # the replace pass alone finishes it
+        ("10011101", "11"),  # the pass leaves 10001, so the letter stack runs
     ],
 )
 def test_reduce_examples(w, terminal):
@@ -153,7 +155,7 @@ def test_reduce_runs_agrees_with_reduce(w):
 
 
 def test_reduce_engines_agree_exhaustively():
-    ok, detail = selfcheck.check_reduce_engines(11)
+    ok, detail = selfcheck.check_reduce_engines(13)
     assert ok, detail
 
 
