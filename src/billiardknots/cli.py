@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when a selfcheck check fails, 2 on invalid
 input, 3 when a resource guard trips.  Resource guards can be overridden
-with environment variables (see _GUARDS below; non-integer or negative
-values exit 2).
+with environment variables, each read by the one command that checks it
+(non-integer or negative values exit 2).
 """
 
 from __future__ import annotations
@@ -15,20 +15,6 @@ from typing import Optional
 
 # each command imports the other modules it uses, so a process compiles only those
 from . import words
-
-# guard key -> (environment variable, default)
-_GUARDS = {
-    "enum_max_n": ("BILLIARDKNOTS_MAX_ENUM_N", 16),  # exact enumeration length
-    "ins_max_len": ("BILLIARDKNOTS_MAX_WORD_LEN", 8),  # insertion base length
-    "ins_max_m": ("BILLIARDKNOTS_MAX_INSERTIONS", 4),  # insertion count
-    "prob_max_n": ("BILLIARDKNOTS_MAX_PROB_N", 100_000),  # prob/rate length
-    "pmf_max_n": ("BILLIARDKNOTS_MAX_PMF_N", 4000),  # pmf length
-    # trace steps, len(word) + 3m
-    "trace_max_len": ("BILLIARDKNOTS_MAX_TRACE_LEN", 3000),
-    # sample letters drawn, plus a charge per extra worker
-    "sample_max_letters": ("BILLIARDKNOTS_MAX_SAMPLE_LETTERS", 50_000_000),
-    "render_max_len": ("BILLIARDKNOTS_MAX_RENDER_LEN", 50_000),  # render word length
-}
 
 # Python releases without the int-to-str digit limit (3.10.6 and older)
 # have neither function
@@ -45,21 +31,20 @@ _SAMPLE_EXACT_LIMIT = 60
 _SAMPLE_WORKER_LETTERS = 1500
 
 
-def _guards() -> dict[str, int]:
-    values = {}
-    for key, (env, default) in _GUARDS.items():
-        raw = os.environ.get(env, str(default))
-        try:
-            values[key] = int(raw)
-        except ValueError:
-            raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-        if values[key] < 0:
-            raise ValueError(f"{env} must be nonnegative, got {raw!r}")
-    return values
+def _limit(env: str, default: int) -> int:
+    """The guard value the environment variable sets, or its default."""
+    raw = os.environ.get(env, str(default))
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise ValueError(f"{env} must be nonnegative, got {raw!r}")
+    return value
 
 
 def _mode(args) -> str:
-    return words.CHIRAL if getattr(args, "chiral", False) else words.MIRROR_IDENTIFIED
+    return words.CHIRAL if args.chiral else words.MIRROR_IDENTIFIED
 
 
 def _emit(args, payload: dict | list, text: str, rows: Optional[list] = None,
@@ -74,21 +59,20 @@ def _emit(args, payload: dict | list, text: str, rows: Optional[list] = None,
             for key in sorted(payload):
                 writer.writerow([key, payload[key]])
         else:
-            if header:
-                writer.writerow(header)
+            writer.writerow(header)
             writer.writerows(rows)
     else:
         print(text)
 
 
-def _cmd_reduce(args, guards) -> None:
+def _cmd_reduce(args) -> None:
     terminal = words.reduce(args.word)
     payload = {"word": args.word, "reduced": terminal,
                "crossing_number": words.crossing_number(terminal)}
     _emit(args, payload, terminal)
 
 
-def _cmd_moves(args, guards) -> None:
+def _cmd_moves(args) -> None:
     moves = words.available_moves(args.word)
     payload = {
         "word": args.word,
@@ -102,7 +86,7 @@ def _cmd_moves(args, guards) -> None:
           moves, ("kind", "position", "triple"))
 
 
-def _cmd_class(args, guards) -> None:
+def _cmd_class(args) -> None:
     cls = words.knot_class(args.word, _mode(args))
     text = (
         f"canonical {cls.canonical or '(empty)'}  ell0={cls.ell0} ell1={cls.ell1} "
@@ -112,29 +96,30 @@ def _cmd_class(args, guards) -> None:
     _emit(args, cls.to_json(), text)
 
 
-def _class_at_guarded_length(args, guards) -> words.KnotClass:
+def _class_at_guarded_length(args) -> words.KnotClass:
     """The word's class, once n passes check_length (exit 2) and the guard (exit 3)."""
     cls = words.knot_class(args.word, _mode(args))
     words.check_length(args.n)
-    words.check_guard("n", args.n, guards["prob_max_n"], "prob/rate")
+    words.check_guard("n", args.n, _limit("BILLIARDKNOTS_MAX_PROB_N", 100_000),
+                      "prob/rate")
     return cls
 
 
-def _cmd_prob(args, guards) -> None:
+def _cmd_prob(args) -> None:
     from . import distributions
 
-    cls = _class_at_guarded_length(args, guards)
+    cls = _class_at_guarded_length(args)
     p = distributions.knot_probability(cls, args.n)
     payload = {"word": args.word, "n": args.n, "canonical": cls.canonical,
                "probability": str(p), "float": float(p)}
     _emit(args, payload, f"{p} = {float(p):.6g}")
 
 
-def _cmd_pmf(args, guards) -> None:
+def _cmd_pmf(args) -> None:
     from . import distributions
 
     words.check_length(args.n)
-    words.check_guard("n", args.n, guards["pmf_max_n"], "pmf")
+    words.check_guard("n", args.n, _limit("BILLIARDKNOTS_MAX_PMF_N", 4000), "pmf")
     pmf = distributions.crossing_pmf(args.n)
     # only the asked-for view is built
     _emit(args, pmf.to_json() if args.format == "json" else {},
@@ -143,20 +128,21 @@ def _cmd_pmf(args, guards) -> None:
           ("c", "numerator", "denominator", "float"))
 
 
-def _cmd_rate(args, guards) -> None:
+def _cmd_rate(args) -> None:
     from . import distributions
 
-    report = distributions.alpha_rate(_class_at_guarded_length(args, guards), args.n)
+    report = distributions.alpha_rate(_class_at_guarded_length(args), args.n)
     payload = {"word": args.word, **report._asdict()}
     _emit(args, payload,
           f"log2 rate {report.log2_rate:.6f}  target {report.target:.6f}  "
           f"gap {report.gap:.6f}")
 
 
-def _cmd_enumerate(args, guards) -> None:
+def _cmd_enumerate(args) -> None:
     from . import oracle
 
-    dist = oracle.exact_distribution(args.n, _mode(args), max_n=guards["enum_max_n"])
+    dist = oracle.exact_distribution(args.n, _mode(args),
+                                     max_n=_limit("BILLIARDKNOTS_MAX_ENUM_N", 16))
     rows = [
         (canonical, dist.counts[canonical], dist.classes[canonical].crossing_number)
         for canonical in sorted(dist.counts, key=lambda u: (len(u), u))
@@ -167,13 +153,14 @@ def _cmd_enumerate(args, guards) -> None:
     _emit(args, dist.to_json(), "\n".join(lines), rows, ("canonical", "count", "c"))
 
 
-def _cmd_insertions(args, guards) -> None:
+def _cmd_insertions(args) -> None:
     from . import oracle
 
     scope = oracle.INTERNAL_ONLY if args.internal_only else oracle.ALL
     found = oracle.enumerate_insertions(
         args.word, args.m, scope,
-        max_len=guards["ins_max_len"], max_insertions=guards["ins_max_m"],
+        max_len=_limit("BILLIARDKNOTS_MAX_WORD_LEN", 8),
+        max_insertions=_limit("BILLIARDKNOTS_MAX_INSERTIONS", 4),
     )
     ordered = sorted(found)
     payload = {"word": args.word, "m": args.m, "scope": scope,
@@ -182,14 +169,14 @@ def _cmd_insertions(args, guards) -> None:
     _emit(args, payload, text, [(u,) for u in ordered], ("word",))
 
 
-def _cmd_trace(args, guards) -> None:
+def _cmd_trace(args) -> None:
     from . import insertions
 
     locs = tuple(int(x) for x in args.locations.split(",") if x.strip() != "")
     words.check_word(args.word)  # an invalid word exits 2 before the guard
     # one stack string per step: memory and output grow as the square
     words.check_guard("len(word) + 3m", len(args.word) + 3 * args.m,
-                      guards["trace_max_len"], "trace")
+                      _limit("BILLIARDKNOTS_MAX_TRACE_LEN", 3000), "trace")
     trace = insertions.reconstruct(args.word, args.m, locs)
     width = max(len(s.stack) for s in trace.steps) if trace.steps else 1
     lines = [f"{'i':>3} | L | {'word':<{len(trace.steps)}} | stack"]
@@ -204,7 +191,7 @@ def _cmd_trace(args, guards) -> None:
     _emit(args, trace.to_json(), "\n".join(lines))
 
 
-def _cmd_sample(args, guards) -> None:
+def _cmd_sample(args) -> None:
     from . import sampler  # numpy: only this command pays for it
 
     sampler.check_sample(args.n, args.count, args.seed, args.workers)  # before the guard
@@ -217,7 +204,8 @@ def _cmd_sample(args, guards) -> None:
     if drawing > 1:  # the batch already pays for the first worker
         label += f" + {_SAMPLE_WORKER_LETTERS} * (min(workers, count) - 1)"
         letters += _SAMPLE_WORKER_LETTERS * (drawing - 1)
-    words.check_guard(label, letters, guards["sample_max_letters"], "sample")
+    words.check_guard(label, letters,
+                      _limit("BILLIARDKNOTS_MAX_SAMPLE_LETTERS", 50_000_000), "sample")
     exact = None
     if args.n <= _SAMPLE_EXACT_LIMIT:
         from . import distributions
@@ -235,12 +223,13 @@ def _cmd_sample(args, guards) -> None:
     _emit(args, report.to_json(), "\n".join(lines), rows, ("c", "count", "frequency"))
 
 
-def _cmd_render(args, guards) -> None:
+def _cmd_render(args) -> None:
     from . import render
 
     # an invalid word or length exits 2 before the guard
     n = words.check_length(len(words.check_word(args.word)))
-    words.check_guard("len(word)", n, guards["render_max_len"], "render")
+    words.check_guard("len(word)", n, _limit("BILLIARDKNOTS_MAX_RENDER_LEN", 50_000),
+                      "render")
     svg = render.render_svg(args.word, flip_crossings=args.flip_crossings)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(svg)
@@ -248,7 +237,7 @@ def _cmd_render(args, guards) -> None:
           f"wrote {args.out} ({len(svg)} bytes)")
 
 
-def _cmd_selfcheck(args, guards) -> int:
+def _cmd_selfcheck(args) -> int:
     from . import selfcheck
 
     results = selfcheck.run_selfcheck(deep=args.deep)
@@ -359,7 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     digit_limit = _get_digit_limit()
     _set_digit_limit(0)
     try:
-        return args.func(args, _guards()) or 0
+        return args.func(args) or 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,7 @@ resource guards.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import product
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .words import (
@@ -62,8 +63,7 @@ class ExactDist(NamedTuple):
 
 def all_words(n: int) -> Iterator[Word]:
     """Every word of length n: word number v is the n-bit binary expansion of v."""
-    for value in range(1 << n):
-        yield format(value, f"0{n}b") if n else ""
+    return map("".join, product("01", repeat=n))
 
 
 def reduce_by_moves(w: Word) -> Word:

@@ -1,7 +1,9 @@
+import ast
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -295,6 +297,73 @@ def test_enumerate_guard_env(capsys, monkeypatch):
         code, _, err = run(capsys, "enumerate", "--n", "3")
         assert code == 2, bad
         assert "BILLIARDKNOTS_MAX_ENUM_N" in err
+
+
+def _guarded_argvs(out_path):
+    """Each guard variable -> a valid argv of every command that checks it."""
+    return {
+        "BILLIARDKNOTS_MAX_ENUM_N": [("enumerate", "--n", "3")],
+        "BILLIARDKNOTS_MAX_WORD_LEN": [("insertions", "101", "--m", "1")],
+        "BILLIARDKNOTS_MAX_INSERTIONS": [("insertions", "101", "--m", "1")],
+        "BILLIARDKNOTS_MAX_PROB_N": [("prob", "101", "--n", "9"),
+                                     ("rate", "--word", "101", "--n", "9")],
+        "BILLIARDKNOTS_MAX_PMF_N": [("pmf", "--n", "9")],
+        "BILLIARDKNOTS_MAX_TRACE_LEN": [("trace", "101", "--m", "1",
+                                        "--locations", "1")],
+        "BILLIARDKNOTS_MAX_SAMPLE_LETTERS": [("sample", "--n", "3", "--count", "10",
+                                              "--seed", "1")],
+        "BILLIARDKNOTS_MAX_RENDER_LEN": [("render", "101", "--out", str(out_path))],
+    }
+
+
+def test_a_malformed_guard_variable_fails_each_command_that_checks_it(
+        capsys, monkeypatch, tmp_path):
+    out_path = tmp_path / "guarded.svg"
+    for env, argvs in _guarded_argvs(out_path).items():
+        for argv in argvs:
+            for bad in ("not-a-number", "-5"):
+                monkeypatch.setenv(env, bad)
+                code, out, err = run(capsys, *argv)
+                assert (code, out) == (2, ""), (env, bad, argv)
+                assert env in err, (env, bad, argv)
+                assert not out_path.exists()
+            monkeypatch.delenv(env)
+            code, _, err = run(capsys, *argv)  # the same argv answers without it
+            assert code == 0, (argv, err)
+            out_path.unlink(missing_ok=True)
+
+
+def test_a_malformed_guard_variable_leaves_unguarded_commands_alone(
+        capsys, monkeypatch):
+    argvs = (("reduce", "101"), ("moves", "101"), ("class", "101"), ("selfcheck",))
+    clean = [run(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in clean] == [0, 0, 0, 0]
+    for bad in ("not-a-number", "-5"):
+        for env in FUZZ_GUARDS:
+            monkeypatch.setenv(env, bad)
+        assert [run(capsys, *argv) for argv in argvs] == clean, bad
+
+
+def _limits_in_cli():
+    """The (variable, default) of every _limit call in cli.py, in source order."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    return [tuple(ast.literal_eval(arg) for arg in node.args)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_limit"]
+
+
+def test_every_guard_is_listed_in_the_readme_and_lowered_by_the_fuzz():
+    limits = _limits_in_cli()
+    envs = [env for env, _ in limits]
+    assert len(set(envs)) == len(envs)  # each variable is read in one place
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    table = [(env, int(default)) for env, default
+             in re.findall(r"^\| `(BILLIARDKNOTS_\w+)` \| (\d+) \|", readme, re.M)]
+    assert sorted(limits) == sorted(table)
+    assert set(FUZZ_GUARDS) == set(envs) == set(_guarded_argvs("x.svg"))
+    for env, default in limits:
+        assert int(FUZZ_GUARDS[env]) < default, env
 
 
 def test_insertions_command(capsys):

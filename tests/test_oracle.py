@@ -25,6 +25,11 @@ from billiardknots.words import (
 )
 
 
+def test_all_words_lists_binary_expansions_in_order():
+    assert list(all_words(3)) == [format(v, "03b") for v in range(8)]
+    assert list(all_words(0)) == [""]
+
+
 # ---------------------------------------------------------------- exact distribution
 
 def test_exact_distribution_tiny():
